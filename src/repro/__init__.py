@@ -29,7 +29,9 @@ Package map:
 * :mod:`repro.isa` -- mini-ISA, assembler, functional executor, traces
 * :mod:`repro.memory` -- caches, memory, TLB
 * :mod:`repro.frontend` -- branch prediction, path history
-* :mod:`repro.ooo` -- ROB, rename, issue, load/store queues
+* :mod:`repro.ooo` -- the in-flight instruction record and the reference
+  associative store-queue search (the window state itself is plain data
+  on :class:`~repro.pipeline.processor.Processor`)
 * :mod:`repro.predictors` -- StoreSets, oracles
 * :mod:`repro.core` -- the NoSQ mechanisms (the paper's contribution)
 * :mod:`repro.pipeline` -- machine configs and the cycle-level processor

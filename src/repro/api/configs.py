@@ -63,7 +63,7 @@ from repro.api.components import (
 from repro.core.bypass_predictor import BypassPredictorConfig
 from repro.core.commit_pipeline import BackendConfig
 from repro.memory.hierarchy import HierarchyConfig
-from repro.pipeline.config import MachineConfig
+from repro.pipeline.config import MachineConfig, check_window
 
 
 class ConfigSpecError(ValueError):
@@ -295,6 +295,10 @@ def apply_overrides(
     config = dataclasses.replace(
         config, name=f"{config.name}?{suffix}", **top
     )
+    try:
+        check_window(config)
+    except ValueError as exc:
+        raise ConfigSpecError(str(exc)) from None
     _check_impl_applicability(config)
     return config
 

@@ -1,7 +1,5 @@
 """The paper's primary contribution: the NoSQ mechanisms.
 
-* :mod:`repro.core.ssn` -- store sequence numbers (SSNrename / SSNcommit)
-  with wraparound drains (Section 2).
 * :mod:`repro.core.srq` -- the store register queue: a rename-only structure
   holding store data-input register tags (Section 3.2).
 * :mod:`repro.core.bypass_predictor` -- the hybrid path-sensitive
@@ -18,7 +16,6 @@
   data-cache write port, flush latency (Section 3.4, Table 4).
 """
 
-from repro.core.ssn import SSNCounters
 from repro.core.srq import SRQEntry, StoreRegisterQueue
 from repro.core.bypass_predictor import (
     BypassingPredictor,
@@ -36,7 +33,6 @@ from repro.core.partial_word import (
 from repro.core.commit_pipeline import CommitPipeline, BackendConfig
 
 __all__ = [
-    "SSNCounters",
     "SRQEntry",
     "StoreRegisterQueue",
     "BypassingPredictor",

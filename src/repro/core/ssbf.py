@@ -12,7 +12,10 @@ committed store to write there.
   the store's low-order address bits and access size so that partial-word
   shift predictions can be verified without replay (Section 3.5).  Per the
   paper's configuration each entry is 8 bytes: a 20-bit SSN, 3-bit offset,
-  3-bit size, and a 38-bit tag; 128 entries, 4-way.
+  3-bit size, and a 38-bit tag; 128 entries, 4-way.  A misaligned store
+  that straddles two words also records, in the second word's entry, that
+  it began in the word before (a negative offset); the paper's aligned
+  Alpha stores never need that extra bit.
 
 Both filters track addresses at 8-byte-word granularity.  On a tag miss the
 T-SSBF cannot prove the load safe against stores whose entries were evicted,
@@ -30,13 +33,15 @@ _WORD_SHIFT = 3  # 8-byte filter granularity
 @dataclass(slots=True)
 class SSBFEntry:
     ssn: int
-    offset: int  # store address low-order bits within the word
+    #: Store start address minus the word's base address: its low-order
+    #: bits, or -1..-7 when the store began in the previous word.
+    offset: int
     size: int    # store access size in bytes
 
     @property
     def store_range(self) -> tuple[int, int]:
         """(start, end) byte offsets of the store within its word."""
-        return self.offset, self.offset + self.size
+        return max(self.offset, 0), min(self.offset + self.size, 8)
 
 
 def _words_touched(addr: int, size: int) -> range:
@@ -86,22 +91,21 @@ class TaggedSSBF:
             index = word & self._index_mask
             entries = self._sets[index]
             tag = word >> self._tag_shift
-            word_base = word << _WORD_SHIFT
-            offset = max(0, addr - word_base)
-            end = min(addr + size, word_base + 8)
-            span = end - max(addr, word_base)
+            # Offsets are relative to the store's own start, so a shift
+            # verified against the entry is the shift from the store.
+            offset = addr - (word << _WORD_SHIFT)
             entry = entries.get(tag)
             if entry is not None:
                 entry.ssn = ssn
                 entry.offset = offset
-                entry.size = span
+                entry.size = size
                 continue
             if len(entries) >= self.assoc:
                 victim_tag = next(iter(entries))
                 victim = entries.pop(victim_tag)
                 if victim.ssn > self._evicted[index]:
                     self._evicted[index] = victim.ssn
-            entries[tag] = SSBFEntry(ssn=ssn, offset=offset, size=span)
+            entries[tag] = SSBFEntry(ssn=ssn, offset=offset, size=size)
 
     def lookup(self, addr: int) -> SSBFEntry | None:
         """Look up the word containing *addr*; None on tag miss."""

@@ -99,7 +99,8 @@ class SVWFilter:
             self.stats.bypassing_reexecs += 1
             return BypassVerdict.REEXEC
         # The predicted store was indeed the last committed writer of this
-        # word.  Verify shift and coverage from the entry's offset/size.
+        # word.  Verify shift and coverage from the entry's offset/size
+        # (the offset is negative when the store began in the word before).
         word_base = (addr >> 3) << 3
         store_start = word_base + entry.offset
         store_end = store_start + entry.size

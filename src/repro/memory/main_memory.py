@@ -22,9 +22,6 @@ class SparseMemory:
     def read_byte(self, addr: int) -> int:
         return self._bytes.get(addr, 0)
 
-    def write_byte(self, addr: int, value: int) -> None:
-        self._bytes[addr] = value & 0xFF
-
     def read(self, addr: int, size: int) -> int:
         """Read *size* bytes at *addr* as an unsigned little-endian integer."""
         value = 0
@@ -46,10 +43,6 @@ class SparseMemory:
     def dump(self, addr: int, size: int) -> bytes:
         """Return *size* bytes starting at *addr*."""
         return bytes(self._bytes.get(addr + i, 0) for i in range(size))
-
-    def written_addresses(self) -> set[int]:
-        """Addresses of all bytes ever written (for test introspection)."""
-        return set(self._bytes)
 
     def __len__(self) -> int:
         return len(self._bytes)

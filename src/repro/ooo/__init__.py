@@ -1,27 +1,14 @@
-"""Out-of-order core substrate: ROB, rename, physical registers, issue
-bandwidth, and the load/store queues.
+"""Out-of-order window records.
 
-The conventional baseline uses the fully-associative :class:`StoreQueue` for
-store-load forwarding; NoSQ eliminates it (and optionally the load queue),
-which is the point of the paper.
+The window itself -- ROB, rename map, physical registers, issue queue and
+ports, load/store queue occupancy, SSN counters -- is plain state owned by
+:class:`repro.pipeline.processor.Processor` (DESIGN.md, "Window state").
+This package holds the per-instruction record those structures contain,
+and the associative store-queue search the conventional baseline's
+classification is checked against.
 """
 
-from repro.ooo.rob import InFlightInst, ReorderBuffer
-from repro.ooo.rename import RegisterMapper
-from repro.ooo.regfile import PhysicalRegisterFile
-from repro.ooo.scheduler import PortSchedule, ISSUE_PORTS
-from repro.ooo.issue_queue import IssueQueueTracker
-from repro.ooo.lsq import ForwardResult, LoadQueueTracker, StoreQueue
+from repro.ooo.rob import InFlightInst
+from repro.ooo.sq_search import search_store_queue
 
-__all__ = [
-    "InFlightInst",
-    "ReorderBuffer",
-    "RegisterMapper",
-    "PhysicalRegisterFile",
-    "PortSchedule",
-    "ISSUE_PORTS",
-    "IssueQueueTracker",
-    "ForwardResult",
-    "LoadQueueTracker",
-    "StoreQueue",
-]
+__all__ = ["InFlightInst", "search_store_queue"]

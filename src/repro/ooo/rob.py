@@ -1,15 +1,14 @@
-"""Reorder buffer and the in-flight instruction record.
+"""The in-flight instruction record: one reorder-buffer entry.
 
-Under NoSQ the ROB also buffers the store/load base register tags, data
-register tags, and displacements that the extended commit pipeline reads
-(Section 3.4, "these fields can (logically) be stored in the re-order
-buffer").  In this model those fields live on :class:`InFlightInst`.
+The reorder buffer itself is ``Processor.rob``, a deque of these records
+in program order.  Under NoSQ the ROB also buffers the store/load base
+register tags, data register tags, and displacements that the extended
+commit pipeline reads (Section 3.4, "these fields can (logically) be
+stored in the re-order buffer").  In this model those fields live on
+:class:`InFlightInst`.
 """
 
 from __future__ import annotations
-
-from collections import deque
-from typing import Iterator
 
 from repro.isa.trace import DynInst
 
@@ -26,11 +25,8 @@ class InFlightInst:
     * ``issue_cycle`` / ``complete_cycle`` -- selection / result cycles
       (-1 = not scheduled yet);
     * ``dcache_read_cycle`` -- cycle of the out-of-order D$ read (loads);
-    * ``skips_issue_queue`` -- occupies no issue-queue entry;
     * ``bypassed`` / ``delayed`` / ``predicted_ssn`` / ``predicted_shift``
-      / ``path_sensitive_hit`` / ``pred_hit`` -- NoSQ bypassing state;
-    * ``ssn_nvul`` -- youngest store the load is not vulnerable to
-      (Section 2.2);
+      / ``pred_hit`` -- NoSQ bypassing state;
     * ``sq_forwarded`` -- forwarded from the store queue (baseline);
     * ``allocated_preg`` -- allocated a physical register at rename;
     * ``shared_with_seq`` -- shares the register allocated by that seq
@@ -55,9 +51,8 @@ class InFlightInst:
 
     __slots__ = (
         "inst", "dispatch_cycle", "ssn", "issue_cycle",
-        "complete_cycle", "dcache_read_cycle", "skips_issue_queue",
-        "bypassed", "delayed", "predicted_ssn", "predicted_shift",
-        "path_sensitive_hit", "pred_hit", "ssn_nvul",
+        "complete_cycle", "dcache_read_cycle",
+        "bypassed", "delayed", "predicted_ssn", "predicted_shift", "pred_hit",
         "sq_forwarded", "allocated_preg", "shared_with_seq",
         "predicted_store_seq", "ssn_rename_at_dispatch", "injected_op",
         "smb_applied", "squashed", "producers", "sched_kind",
@@ -71,7 +66,6 @@ class InFlightInst:
         self.ssn = -1
         self.issue_cycle = -1
         self.complete_cycle = -1
-        self.skips_issue_queue = False
         self.allocated_preg = False
         self.shared_with_seq = -1
         self.ssn_rename_at_dispatch = 0
@@ -93,63 +87,8 @@ class InFlightInst:
         self.delayed = False
         self.predicted_ssn = -1
         self.predicted_shift = -1
-        self.path_sensitive_hit = False
         self.pred_hit = False
-        self.ssn_nvul = -1
         self.sq_forwarded = False
         self.predicted_store_seq = -1
         self.injected_op = False
         self.smb_applied = False
-
-
-class ReorderBuffer:
-    """A bounded in-order window of :class:`InFlightInst`.
-
-    Entries enter at dispatch and leave either at commit (from the head) or
-    through a squash (from the tail, on a verification flush).
-    """
-
-    def __init__(self, capacity: int) -> None:
-        if capacity <= 0:
-            raise ValueError("ROB capacity must be positive")
-        self.capacity = capacity
-        self._entries: deque[InFlightInst] = deque()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __iter__(self) -> Iterator[InFlightInst]:
-        return iter(self._entries)
-
-    @property
-    def full(self) -> bool:
-        return len(self._entries) >= self.capacity
-
-    @property
-    def empty(self) -> bool:
-        return not self._entries
-
-    @property
-    def head(self) -> InFlightInst | None:
-        return self._entries[0] if self._entries else None
-
-    def push(self, entry: InFlightInst) -> None:
-        if self.full:
-            raise RuntimeError("dispatch into a full ROB")
-        self._entries.append(entry)
-
-    def pop_head(self) -> InFlightInst:
-        return self._entries.popleft()
-
-    def squash_younger(self, seq: int) -> list[InFlightInst]:
-        """Remove and return all entries younger than dynamic *seq*.
-
-        Used by verification flushes: the mis-speculated load commits with
-        its corrected value and everything younger re-enters the pipeline
-        from the front end.
-        """
-        squashed: list[InFlightInst] = []
-        while self._entries and self._entries[-1].seq > seq:
-            squashed.append(self._entries.pop())
-        squashed.reverse()
-        return squashed

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field, replace
 
 from repro.core.bypass_predictor import BypassPredictorConfig
 from repro.core.commit_pipeline import BackendConfig
+from repro.isa.instructions import NUM_ARCH_REGS
 from repro.memory.hierarchy import HierarchyConfig
 
 
@@ -175,6 +176,49 @@ class MachineConfig:
             bypass_predictor=predictor or BypassPredictorConfig(),
         )
         return scale_window(config, window)
+
+
+#: Smallest value each window size may take: below it the pipeline can
+#: never dispatch or commit (or, for ``ssn_bits``, drains on every store).
+_SIZE_FLOORS = {
+    "width": 1,
+    "commit_width": 1,
+    "max_branches_per_group": 1,
+    "rob_size": 1,
+    "iq_size": 1,
+    "phys_regs": NUM_ARCH_REGS + 1,
+    "ssn_bits": 4,
+}
+
+
+def check_window(config: MachineConfig) -> None:
+    """Raise ValueError naming the first window size *config* cannot run.
+
+    The one range check on the sizes ``Processor`` reads: spec resolution
+    (:func:`repro.api.configs.apply_overrides`) calls it so a bad override
+    fails before a run starts, and ``Processor.__init__`` calls it for
+    configs built in code.
+    """
+    for name, floor in _SIZE_FLOORS.items():
+        value = getattr(config, name)
+        if value < floor:
+            raise ValueError(f"{name} must be at least {floor}, got {value}")
+    if config.lq_size is not None and config.lq_size < 1:
+        raise ValueError(
+            f"lq_size must be at least 1 (or none: no load queue), "
+            f"got {config.lq_size}"
+        )
+    if config.mode is Mode.CONVENTIONAL:
+        if config.sq_size < 1:
+            raise ValueError(
+                f"sq_size must be at least 1 on a store-queue machine, "
+                f"got {config.sq_size}"
+            )
+    elif config.sq_size != 0:
+        raise ValueError(
+            f"sq_size must be 0 on NoSQ, which has no store queue, "
+            f"got {config.sq_size}"
+        )
 
 
 def uses_load_scheduler(config: MachineConfig) -> bool:

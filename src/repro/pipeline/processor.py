@@ -33,33 +33,28 @@ from __future__ import annotations
 import gc
 from bisect import bisect_right
 from collections import deque
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 
 from repro.core.bypass_predictor import NO_BYPASS, BypassingPredictor
 from repro.core.commit_pipeline import CommitPipeline
 from repro.core.partial_word import transform_for
 from repro.core.srq import SRQEntry, StoreRegisterQueue
 from repro.core.ssbf import TaggedSSBF
-from repro.core.ssn import SSNCounters
 from repro.core.svw import BypassVerdict, SVWFilter
 from repro.frontend.branch_predictor import BTB, HybridBranchPredictor, ReturnAddressStack
 from repro.frontend.path_history import fill_path_history
-from repro.isa.instructions import REG_ZERO
+from repro.isa.instructions import NUM_ARCH_REGS, REG_ZERO
 from repro.isa.opcodes import OpClass
 from repro.isa.trace import DynInst, MEMORY_SOURCE
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.tlb import TLB
-from repro.ooo.issue_queue import IssueQueueTracker
-from repro.ooo.lsq import LoadQueueTracker, StoreQueue, StoreQueueEntry
-from repro.ooo.regfile import PhysicalRegisterFile
-from repro.ooo.rename import RegisterMapper
-from repro.ooo.rob import InFlightInst, ReorderBuffer
-from repro.ooo.scheduler import PortSchedule
+from repro.ooo.rob import InFlightInst
 from repro.pipeline.config import (
     BypassKind,
     MachineConfig,
     Mode,
     SchedulerKind,
+    check_window,
     uses_bypass_predictor,
     uses_load_scheduler,
 )
@@ -82,26 +77,24 @@ _RETIRE_BATCH = 64
 _LOAD_PORT = int(OpClass.LOAD)
 _STORE_PORT = int(OpClass.STORE)
 
+#: Issue slots per cycle for each ``OpClass`` (ALU, COMPLEX, BRANCH, LOAD,
+#: STORE, NOP), and in total.  Section 4.1: "The scheduler can issue up to
+#: 4 instructions per cycle: 4 simple integer, 2 complex integer/FP, 1
+#: branch, 1 load and 1 store."
+_PORT_LIMITS = (4, 2, 1, 1, 1, 4)
+_ISSUE_WIDTH = 4
+
 
 class Processor:
     """Cycle-level simulator for one machine configuration."""
 
     def __init__(self, config: MachineConfig) -> None:
+        check_window(config)
         self.config = config
-        # Component selectors ("default" = the built-in classes) resolve
-        # through the registry (repro.api.components), imported lazily so
-        # the default construction path stays registry-free.  The build
-        # gates (uses_load_scheduler/uses_bypass_predictor, defined next
-        # to MachineConfig) are shared with spec-time validation, so the
-        # two can never drift.
-        if config.hierarchy_impl != "default":
-            from repro.api.components import create_component
-
-            self.hierarchy = create_component(
-                "hierarchy", config.hierarchy_impl, config
-            )
-        else:
-            self.hierarchy = MemoryHierarchy(config.hierarchy)
+        self.hierarchy = self._component(
+            "hierarchy", config.hierarchy_impl, True,
+            lambda: MemoryHierarchy(config.hierarchy),
+        )
         self.tlb = TLB(
             entries=config.tlb_entries,
             assoc=config.tlb_assoc,
@@ -113,7 +106,6 @@ class Processor:
         )
         self.btb = BTB(entries=config.btb_entries, assoc=config.btb_assoc)
         self.ras = ReturnAddressStack(depth=config.ras_depth)
-        self.ssn = SSNCounters(bits=config.ssn_bits)
         self.ssbf = TaggedSSBF(
             entries=config.tssbf_entries, assoc=config.tssbf_assoc
         )
@@ -124,59 +116,53 @@ class Processor:
             self.tlb,
             translate_stores=(config.mode is Mode.NOSQ),
         )
-        self.rob = ReorderBuffer(config.rob_size)
-        self.mapper = RegisterMapper()
-        self.pregs = PhysicalRegisterFile(config.phys_regs)
-        self.iq = IssueQueueTracker(config.iq_size)
-        self.ports = PortSchedule()
-        self.lq = LoadQueueTracker(config.lq_size)
-        self.sq = StoreQueue(config.sq_size) if config.sq_size else None
+        # The out-of-order window, as plain state (DESIGN.md, "Window
+        # state"); check_window bounds every size read here.
+        #: Reorder buffer: in-flight instructions in program order, at
+        #: most ``config.rob_size``.
+        self.rob: deque[InFlightInst] = deque()
+        #: Rename map: per architectural register, the stack of its
+        #: in-flight writers as ``(seq, producer)`` -- the producer is the
+        #: DEF for a short-circuited load.  An empty stack means the value
+        #: is committed.  A flush pops writers younger than the victim;
+        #: :meth:`_prune_rename_map` drops shadowed committed ones.
+        self.rename_map: list[list[tuple[int, InFlightInst]]] = [
+            [] for _ in range(NUM_ARCH_REGS)
+        ]
+        #: Physical registers: free count, and the reference count of each
+        #: allocated register keyed by the allocating seq (an SMB-bypassed
+        #: load shares its DEF's register, Section 3.4).
+        self.free_pregs = config.phys_regs - NUM_ARCH_REGS
+        self.preg_refs: dict[int, int] = {}
+        #: Issue queue: a min-heap of booked issue cycles (an entry leaves
+        #: at its issue cycle) plus the entries still waiting for one.
+        self.iq_heap: list[int] = []
+        self.iq_unscheduled = 0
+        #: Issue ports: cycle -> [slots booked per OpClass..., total].
+        self.port_slots: dict[int, list[int]] = {}
+        #: Load-queue occupancy (``config.lq_size`` None = no load queue).
+        self.lq_occupancy = 0
+        #: Store queue (conventional only): seqs of the in-flight stores,
+        #: oldest first.
+        self.sq: deque[int] = deque()
+        #: SSNrename / SSNcommit (Section 2).  SSN 0 means "before every
+        #: traced store"; renaming SSN ``ssn_limit`` forces a drain.
+        self.ssn_rename = 0
+        self.ssn_commit = 0
+        self.ssn_limit = 1 << config.ssn_bits
         # SRQ entries stay live until the store's cache write is visible
         # (SSNcommit advances in the final back-end stage), so the live SSN
         # span can exceed the ROB by the back-end drain backlog.
         self.srq = StoreRegisterQueue(capacity=2 * max(config.rob_size, 64))
-        self.store_sets = None
-        if uses_load_scheduler(config):
-            if config.scheduler_impl != "default":
-                from repro.api.components import create_component
-
-                self.store_sets = create_component(
-                    "scheduler", config.scheduler_impl, config
-                )
-            else:
-                self.store_sets = StoreSets()
-        elif config.scheduler_impl != "default":
-            # Fail loudly: a selector on a config that never builds the
-            # component would otherwise be silently ignored while still
-            # changing the cache key.
-            from repro.api.components import inapplicable_message
-
-            raise ValueError(
-                inapplicable_message(
-                    "scheduler", config.scheduler_impl, config
-                )
-            )
-        self.bypass_predictor = None
-        if uses_bypass_predictor(config):
-            if config.bypass_predictor_impl != "default":
-                from repro.api.components import create_component
-
-                self.bypass_predictor = create_component(
-                    "bypass_predictor", config.bypass_predictor_impl, config
-                )
-            else:
-                self.bypass_predictor = BypassingPredictor(
-                    config.bypass_predictor
-                )
-        elif config.bypass_predictor_impl != "default":
-            from repro.api.components import inapplicable_message
-
-            raise ValueError(
-                inapplicable_message(
-                    "bypass_predictor", config.bypass_predictor_impl,
-                    config,
-                )
-            )
+        self.store_sets = self._component(
+            "scheduler", config.scheduler_impl, uses_load_scheduler(config),
+            StoreSets,
+        )
+        self.bypass_predictor = self._component(
+            "bypass_predictor", config.bypass_predictor_impl,
+            uses_bypass_predictor(config),
+            lambda: BypassingPredictor(config.bypass_predictor),
+        )
         self.stats = RunStats(config_name=config.name)
 
         # Per-run state (initialized in run()).
@@ -201,8 +187,8 @@ class Processor:
         self._warmup = 0
         self._committed_total = 0
         self._measure_start_cycle = 0
-        #: Commits since the last batched RAT pruning pass (see the
-        #: inlined release block in :meth:`_commit_stage`).
+        #: Commits since the last batched rename-map pruning pass (see
+        #: :meth:`_prune_rename_map`).
         self._retire_backlog = 0
         #: Stall bookkeeping for _fast_forward: whether the current cycle's
         #: dispatch counted a stall, and which condition it broke on.
@@ -210,15 +196,12 @@ class Processor:
         self._stall_on_iq = False
         self._stall_on_sq = False
         # Hot-loop scalars hoisted out of the (frozen) config object.
-        #: Commit-time training mode: "smb" (opportunistic SMB), "conv"
-        #: (no bypassing predictor), or "nosq" (train the predictor on
-        #: every load) -- mirrors _train_on_commit's branch structure.
-        if config.smb_opportunistic:
-            self._train_kind = "smb"
-        elif self.bypass_predictor is None:
-            self._train_kind = "conv"
-        else:
-            self._train_kind = "nosq"
+        #: NoSQ trains its bypassing predictor on every committed load; the
+        #: store-queue machines train in :meth:`_train_on_commit`.
+        self._nosq_training = (
+            self.bypass_predictor is not None
+            and not config.smb_opportunistic
+        )
         self._is_conventional = config.mode is Mode.CONVENTIONAL
         self._exec_delay = config.exec_delay
         self._frontend_depth = config.frontend_depth
@@ -226,6 +209,29 @@ class Processor:
         # Loop-invariant stage contexts, populated by run().
         self._dispatch_ctx: tuple = ()
         self._commit_ctx: tuple = ()
+
+    def _component(self, kind: str, impl: str, applicable: bool, default):
+        """Build pipeline component *kind*, or None if the config never
+        uses one (*applicable* is its build gate from
+        repro.pipeline.config, shared with spec-time validation).
+
+        A non-"default" selector resolves through the registry
+        (repro.api.components), imported lazily so the default path stays
+        registry-free.  A selector on a config that never builds the
+        component fails loudly: it would otherwise be ignored while still
+        changing the cache key.
+        """
+        if not applicable:
+            if impl != "default":
+                from repro.api.components import inapplicable_message
+
+                raise ValueError(inapplicable_message(kind, impl, self.config))
+            return None
+        if impl == "default":
+            return default()
+        from repro.api.components import create_component
+
+        return create_component(kind, impl, self.config)
 
     # ------------------------------------------------------------------ #
     # Top level
@@ -275,18 +281,15 @@ class Processor:
         # lookups (both stages run up to once per simulated cycle).
         config = self.config
         self._dispatch_ctx = (
-            trace, self.rob._entries, self.rob.capacity, self.pregs,
-            self.iq, self.lq, self.lq.unlimited, self.sq, self.ssn,
-            config.width, config.max_branches_per_group,
-            config.max_taken_per_group, self.mapper._stacks,
-            self._sched_waiters, self._exec_delay,
-            self.ports._used_by_cycle, self.ports._limits,
-            self.ports.total_width, self.lq.capacity, self.iq._scheduled,
-            n,
+            trace, self.rob, config.rob_size, config.iq_size,
+            config.lq_size, config.sq_size, config.width,
+            config.max_branches_per_group, config.max_taken_per_group,
+            self.rename_map, self._sched_waiters, self._exec_delay,
+            self.port_slots, self.iq_heap, n,
         )
         self._commit_ctx = (
-            self.rob._entries, config.commit_width, self.lq,
-            self.lq.unlimited, self.pregs, self._sched_waiters,
+            self.rob, config.commit_width, self.preg_refs,
+            self._sched_waiters,
         )
 
         # The main loop binds its per-cycle work to locals: attribute and
@@ -294,13 +297,12 @@ class Processor:
         # prominently in profiles.  The cheap prechecks mirror each stage's
         # own early-exit conditions exactly, so skipping the call is
         # behaviour- and statistics-identical.
-        rob_entries = self.rob._entries
+        rob = self.rob
         pending = self._pending_commits
         advance_ssn = self._advance_ssn_commit
         commit_stage = self._commit_stage
         dispatch_stage = self._dispatch_stage
-        ports_discard = self.ports.discard_before
-        port_cycles = self.ports._used_by_cycle
+        port_slots = self.port_slots
         # The cycle loop allocates heavily (one InFlightInst + producer
         # tuples per dispatch) but creates almost no reference cycles, so
         # generational GC scans are nearly pure overhead (~6% of the loop).
@@ -312,10 +314,10 @@ class Processor:
             gc.disable()
         try:
             cycle = 0
-            while self._pos < n or rob_entries or pending:
+            while self._pos < n or rob or pending:
                 if pending and pending[0][0] <= cycle:
                     advance_ssn(cycle)
-                head = rob_entries[0] if rob_entries else None
+                head = rob[0] if rob else None
                 if head is not None and 0 <= head.complete_cycle <= cycle:
                     progressed = commit_stage(cycle)
                 else:
@@ -329,12 +331,15 @@ class Processor:
                     cycle += 1
                 else:
                     cycle = self._fast_forward(cycle)
-                if len(port_cycles) >= 4096:
-                    ports_discard(cycle - 8)
+                if len(port_slots) >= 4096:
+                    # Drop the bookings of cycles long past.
+                    floor = cycle - 8
+                    for stale in [c for c in port_slots if c < floor]:
+                        del port_slots[stale]
                 if cycle > max_cycles:
                     raise SimulationError(
                         f"livelock: {cycle} cycles for {n} instructions "
-                        f"(pos={self._pos}, rob={len(self.rob)})"
+                        f"(pos={self._pos}, rob={len(rob)})"
                     )
         finally:
             if gc_was_enabled:
@@ -358,9 +363,9 @@ class Processor:
         "hot-path invariants").
         """
         nxt = -1
-        rob_entries = self.rob._entries
-        if rob_entries:
-            complete = rob_entries[0].complete_cycle
+        rob = self.rob
+        if rob:
+            complete = rob[0].complete_cycle
             if complete < 0:
                 # An unscheduled head cannot be time-bounded; step.
                 return cycle + 1
@@ -378,7 +383,7 @@ class Processor:
         stalled = self._stall_counted
         if stalled and self._stall_on_iq:
             # Issue-queue-full stalls clear as booked issue cycles pass.
-            heap = self.iq._scheduled
+            heap = self.iq_heap
             if heap and (nxt < 0 or heap[0] < nxt):
                 nxt = heap[0]
         if nxt <= cycle + 1:
@@ -402,18 +407,17 @@ class Processor:
         commit stage, after the data-cache write stage).
         """
         pending = self._pending_commits
-        counters = self.ssn
         srq = self.srq
         srq_entries = srq._entries
         while pending and pending[0][0] <= cycle:
             _, ssn, _store_seq = pending.popleft()
-            # ssn.advance_commit and srq.retire inlined.
-            if counters.commit >= counters.rename:
+            # srq.retire inlined.
+            if self.ssn_commit >= self.ssn_rename:
                 raise SimulationError("SSNcommit would pass SSNrename")
-            counters.commit += 1
-            if counters.commit != ssn:
+            self.ssn_commit += 1
+            if self.ssn_commit != ssn:
                 raise SimulationError(
-                    f"store commit SSN mismatch: {counters.commit} != {ssn}"
+                    f"store commit SSN mismatch: {self.ssn_commit} != {ssn}"
                 )
             slot = ssn % srq.capacity
             entry = srq_entries.get(slot)
@@ -430,15 +434,14 @@ class Processor:
         # stall statistics the stepping loop never counted.
         self._stall_counted = False
         (
-            trace, rob_entries, rob_capacity, pregs, iq, lq, lq_unlimited,
-            sq, ssn, width, max_branches, max_taken, stacks, waiters,
-            exec_delay, port_used_map, port_limits, port_width,
-            lq_capacity, iq_heap, n,
+            trace, rob, rob_size, iq_size, lq_size, sq_size, width,
+            max_branches, max_taken, rename_map, waiters, exec_delay,
+            port_slots, iq_heap, n,
         ) = self._dispatch_ctx
         if cycle < self._dispatch_barrier or self._pos >= n:
             return False
         if self._drain_pending:
-            if rob_entries or self._pending_commits:
+            if rob or self._pending_commits:
                 return False
             self._perform_drain(cycle)
             return False
@@ -446,6 +449,9 @@ class Processor:
         is_conventional = self._is_conventional
         stats = self.stats
         nop = OpClass.NOP
+        preg_refs = self.preg_refs
+        port_limits = _PORT_LIMITS
+        issue_width = _ISSUE_WIDTH
         pos = self._pos
         dispatched = 0
         group_branches = 0
@@ -458,25 +464,22 @@ class Processor:
         # ROB, and every issue-queue insertion books a cycle strictly after
         # *cycle* (so no lazily-popped entries can appear mid-group either).
         # Occupancy is computed lazily (first iq-needing instruction).
-        rob_len = len(rob_entries)
+        rob_len = len(rob)
         iq_occ = -1
-        iq_cap = iq.capacity
         while dispatched < width and pos < n:
             inst = trace[pos]
-            if rob_len >= rob_capacity or pregs._free < 1:
+            if rob_len >= rob_size or self.free_pregs < 1:
                 break
             is_store = inst.is_store
             if inst.is_load:
-                # lq.has_space inlined.
-                if not lq_unlimited and lq.occupancy >= lq_capacity:
+                if lq_size is not None and self.lq_occupancy >= lq_size:
                     break
             elif is_store:
-                # sq.full inlined.
-                if sq is not None and len(sq._entries) >= sq.capacity:
+                if is_conventional and len(self.sq) >= sq_size:
                     stats.sq_full_stalls += 1
                     stall_sq = True
                     break
-                if ssn.rename + 1 >= ssn.limit:
+                if self.ssn_rename + 1 >= self.ssn_limit:
                     self._drain_pending = True
                     break
             elif inst.is_branch:
@@ -484,18 +487,18 @@ class Processor:
                 if group_branches > max_branches:
                     break
             op = inst.op
-            # Inlined _enters_issue_queue (NoSQ stores never enter the
-            # out-of-order engine).
+            # NoSQ stores never enter the out-of-order engine.
             needs_iq = op is not nop and (
                 is_conventional or not is_store
             )
             if needs_iq:
                 if iq_occ < 0:
-                    # iq.occupancy inlined (lazy, once per fetch group).
+                    # Entries leave the issue queue at their issue cycle
+                    # (popped lazily, once per fetch group).
                     while iq_heap and iq_heap[0] <= cycle:
                         heappop(iq_heap)
-                    iq_occ = len(iq_heap) + iq._unscheduled
-                if iq_occ >= iq_cap:
+                    iq_occ = len(iq_heap) + self.iq_unscheduled
+                if iq_occ >= iq_size:
                     stall_iq = True
                     break
 
@@ -503,19 +506,13 @@ class Processor:
             if is_store:
                 # ssn_rename_at_dispatch is only consulted for memory
                 # instructions (bypass distances, flush rollback targets).
-                entry.ssn_rename_at_dispatch = ssn.rename
+                entry.ssn_rename_at_dispatch = self.ssn_rename
                 self._dispatch_store(entry, cycle)
                 if entry.in_iq:
                     iq_occ += 1
             elif inst.is_load:
-                entry.ssn_rename_at_dispatch = ssn.rename
-                # _dispatch_load inlined (one call layer per load).
-                if not lq_unlimited:
-                    # lq.insert inlined (space pre-checked above).
-                    occ = lq.occupancy + 1
-                    lq.occupancy = occ
-                    if occ > lq.peak_occupancy:
-                        lq.peak_occupancy = occ
+                entry.ssn_rename_at_dispatch = self.ssn_rename
+                self.lq_occupancy += 1
                 if is_conventional:
                     self._dispatch_load_conventional(entry, cycle)
                 else:
@@ -523,31 +520,27 @@ class Processor:
                 dst = inst.dst
                 if dst is not None and not entry.bypassed:
                     seq = entry.seq
-                    # pregs.allocate inlined (capacity pre-checked above).
-                    pregs._free -= 1
-                    pregs._refcounts[seq] = 1
+                    self.free_pregs -= 1
+                    preg_refs[seq] = 1
                     entry.allocated_preg = True
                     if dst != REG_ZERO:
-                        stacks[dst].append((seq, entry))
+                        rename_map[dst].append((seq, entry))
                 if entry.in_iq:
                     iq_occ += 1
             elif op is nop:
                 entry.sched_kind = "none"
                 entry.complete_cycle = cycle + 1
-                entry.skips_issue_queue = True
                 dst = inst.dst
                 if dst is not None:
                     seq = entry.seq
-                    # pregs.allocate inlined (capacity pre-checked above).
-                    pregs._free -= 1
-                    pregs._refcounts[seq] = 1
+                    self.free_pregs -= 1
+                    preg_refs[seq] = 1
                     entry.allocated_preg = True
                     if dst != REG_ZERO:
-                        stacks[dst].append((seq, entry))
+                        rename_map[dst].append((seq, entry))
             else:
-                # The hottest dispatch path (every ALU/branch/complex op):
-                # _dispatch_simple, _enter_issue_queue, mapper.define, and
-                # _try_schedule's immediate-success case are inlined here.
+                # The hottest dispatch path (every ALU/branch/complex op),
+                # with _try_schedule's immediate-success case written out.
                 # A freshly dispatched entry can have no scheduling waiters
                 # (waiters key on in-flight producer seqs and are popped at
                 # squash/commit), so the generic wakeup machinery is only
@@ -560,7 +553,7 @@ class Processor:
                 ready = cycle + 1 + exec_delay
                 blocked_on = None
                 for reg in inst.srcs:
-                    stack = stacks[reg]
+                    stack = rename_map[reg]
                     if stack:
                         producer = stack[-1][1]
                         complete = producer.complete_cycle
@@ -576,47 +569,39 @@ class Processor:
                     entry.producers = tuple(
                         stack[-1][1]
                         for reg in inst.srcs
-                        if (stack := stacks[reg])
+                        if (stack := rename_map[reg])
                     )
                     waiters.setdefault(blocked_on.seq, []).append(entry)
-                    iq.add_unscheduled()
+                    self.iq_unscheduled += 1
                 else:
-                    # PortSchedule.reserve's first-probe success inlined;
-                    # contended cycles fall back to the full probe loop.
-                    used = port_used_map.get(ready)
+                    # _reserve_port's first probe; contended cycles fall
+                    # back to the full probe loop.
+                    used = port_slots.get(ready)
                     if used is None:
                         used = [0] * (len(port_limits) + 1)
                         used[port] = 1
                         used[-1] = 1
-                        port_used_map[ready] = used
+                        port_slots[ready] = used
                         issue = ready
-                    elif used[-1] < port_width and used[port] < port_limits[port]:
+                    elif used[-1] < issue_width and used[port] < port_limits[port]:
                         used[port] += 1
                         used[-1] += 1
                         issue = ready
                     else:
-                        issue = self.ports.reserve(port, ready + 1)
+                        issue = self._reserve_port(port, ready + 1)
                     entry.issue_cycle = issue
                     entry.complete_cycle = issue + inst.lat
-                    # add_unscheduled + schedule_unscheduled fused (and
-                    # iq.add_scheduled inlined): occupancy and peak
-                    # tracking see identical totals.
                     heappush(iq_heap, issue)
-                    current = len(iq_heap) + iq._unscheduled
-                    if current > iq.peak_occupancy:
-                        iq.peak_occupancy = current
                 dst = inst.dst
                 if dst is not None:
                     seq = entry.seq
-                    # pregs.allocate inlined (capacity pre-checked above).
-                    pregs._free -= 1
-                    pregs._refcounts[seq] = 1
+                    self.free_pregs -= 1
+                    preg_refs[seq] = 1
                     entry.allocated_preg = True
-                    # mapper.define inlined (REG_ZERO writes are discarded
-                    # exactly as RegisterMapper.define does).
+                    # Writes to the zero register are discarded.
                     if dst != REG_ZERO:
-                        stacks[dst].append((seq, entry))
-            rob_entries.append(entry)
+                        rename_map[dst].append((seq, entry))
+            rob.append(entry)
             rob_len += 1
             pos += 1
             self._pos = pos
@@ -637,50 +622,53 @@ class Processor:
             self._stall_on_sq = stall_sq
         return dispatched > 0
 
-    def _enters_issue_queue(self, inst: DynInst) -> bool:
-        """Does this instruction occupy an issue-queue entry?"""
-        if self._is_conventional:
-            return inst.op is not OpClass.NOP
-        # NoSQ: stores never dispatch to the out-of-order engine; bypassed
-        # loads may (as injected ops), decided at rename.  Conservatively
-        # require space for loads; a pure-rename bypass simply won't use it.
-        if inst.is_store:
-            return False
-        return inst.op is not OpClass.NOP
-
     def _enter_issue_queue(self, entry: InFlightInst) -> None:
         entry.in_iq = True
-        self.iq.add_unscheduled()
+        self.iq_unscheduled += 1
         self.stats.iq_dispatches += 1
 
+    def _reserve_port(self, port: int, earliest: int) -> int:
+        """Book an issue slot of class *port* at the first cycle at or
+        after *earliest* with both a free class slot and free width."""
+        port_slots = self.port_slots
+        limit = _PORT_LIMITS[port]
+        cycle = earliest
+        while True:
+            used = port_slots.get(cycle)
+            if used is None:
+                used = [0] * (len(_PORT_LIMITS) + 1)
+                used[port] = 1
+                used[-1] = 1
+                port_slots[cycle] = used
+                return cycle
+            if used[-1] < _ISSUE_WIDTH and used[port] < limit:
+                used[port] += 1
+                used[-1] += 1
+                return cycle
+            cycle += 1
+
     def _producers_for(self, srcs: tuple[int, ...]) -> tuple:
-        stacks = self.mapper._stacks
+        rename_map = self.rename_map
         return tuple(
-            stack[-1][1] for reg in srcs if (stack := stacks[reg])
+            stack[-1][1] for reg in srcs if (stack := rename_map[reg])
         )
 
     # -- stores --------------------------------------------------------- #
 
     def _dispatch_store(self, entry: InFlightInst, cycle: int) -> None:
         inst = entry.inst
-        counters = self.ssn
-        if counters.rename + 1 >= counters.limit:
-            # The dispatch loop drains before this can happen.
-            raise SimulationError("SSN wrap must be drained before renaming")
-        # ssn.next_rename inlined (non-wrapping path).
-        ssn = counters.rename + 1
-        counters.rename = ssn
+        # The dispatch loop drains before SSNrename can reach the limit.
+        ssn = self.ssn_rename + 1
+        self.ssn_rename = ssn
         entry.ssn = ssn
         self._inflight_stores[inst.store_seq] = entry
 
-        data_reg = inst.srcs[1] if len(inst.srcs) > 1 else None
-        def_producer = (
-            self.mapper.producer(data_reg) if data_reg is not None else None
-        )
+        rename_map = self.rename_map
+        data_stack = rename_map[inst.srcs[1]] if len(inst.srcs) > 1 else None
         self.srq.insert(
             SRQEntry(
                 ssn=ssn,
-                def_producer=def_producer,
+                def_producer=data_stack[-1][1] if data_stack else None,
                 store_seq=inst.store_seq,
                 size=inst.size,
                 fp_convert=inst.fp_convert,
@@ -695,11 +683,10 @@ class Processor:
             # when a producer is still unscheduled).
             entry.sched_kind = "exec"
             entry.port_class = _STORE_PORT
-            stacks = self.mapper._stacks
             ready = cycle + 1 + self._exec_delay
             blocked_on = None
             for reg in inst.srcs:
-                stack = stacks[reg]
+                stack = rename_map[reg]
                 if stack:
                     producer = stack[-1][1]
                     complete = producer.complete_cycle
@@ -714,33 +701,24 @@ class Processor:
                 entry.producers = tuple(
                     stack[-1][1]
                     for reg in inst.srcs
-                    if (stack := stacks[reg])
+                    if (stack := rename_map[reg])
                 )
                 self._sched_waiters.setdefault(
                     blocked_on.seq, []
                 ).append(entry)
-                self.iq.add_unscheduled()
+                self.iq_unscheduled += 1
             else:
-                issue = self.ports.reserve(_STORE_PORT, ready)
+                issue = self._reserve_port(_STORE_PORT, ready)
                 entry.issue_cycle = issue
                 entry.complete_cycle = issue + inst.lat
-                self.iq.add_scheduled(issue)
-            self.sq.insert(
-                StoreQueueEntry(
-                    seq=inst.seq,
-                    ssn=ssn,
-                    addr=inst.addr,
-                    size=inst.size,
-                    execute_complete=-1,
-                )
-            )
+                heappush(self.iq_heap, issue)
+            self.sq.append(inst.seq)
             if self.store_sets is not None:
                 self.store_sets.store_renamed(inst.pc, entry)
         else:
             # NoSQ: the store skips the out-of-order engine entirely and is
             # marked complete at rename; it executes in the back end.
             entry.sched_kind = "none"
-            entry.skips_issue_queue = True
             entry.complete_cycle = cycle + 1
 
     # -- loads ---------------------------------------------------------- #
@@ -750,7 +728,7 @@ class Processor:
 
         Returns ``(kind, store_seq)`` where kind is "none", "full", or
         "partial".  Per-byte youngest-writer reasoning makes this exactly
-        equivalent to :meth:`repro.ooo.lsq.StoreQueue.search` restricted to
+        equivalent to :func:`repro.ooo.search_store_queue` restricted to
         in-flight stores (a property verified by tests).
         """
         inflight = self._inflight_stores
@@ -836,11 +814,10 @@ class Processor:
             inst.pc, inst.path_hist
         )
         entry.pred_hit = pred.hit
-        entry.path_sensitive_hit = pred.path_sensitive
         if not (pred.predicts_bypass and pred.confident):
             return
         ssn_byp = entry.ssn_rename_at_dispatch + 1 - pred.dist
-        if ssn_byp <= self.ssn.commit or ssn_byp > self.ssn.rename:
+        if ssn_byp <= self.ssn_commit or ssn_byp > self.ssn_rename:
             return
         srq_entry = self.srq.lookup(ssn_byp)
         if srq_entry is None:
@@ -872,8 +849,9 @@ class Processor:
                 isinstance(def_producer, InFlightInst)
                 and not def_producer.squashed
                 and def_producer.complete_cycle >= 0
+                and inst.dst != REG_ZERO
             ):
-                self.mapper.define(inst.dst, inst.seq, def_producer)
+                self.rename_map[inst.dst].append((inst.seq, def_producer))
         elif not correct:
             # Verification at load execution detects the mismatch; younger
             # fetch restarts after the load completes.
@@ -901,15 +879,13 @@ class Processor:
         stats.predictor_lookups += 1
         if pred.path_sensitive:
             stats.predictor_path_hits += 1
-        entry.path_sensitive_hit = pred.path_sensitive
         entry.pred_hit = pred.hit
 
         ssn_byp = -1
         # pred.predicts_bypass inlined (property call per predicted load).
         if pred.hit and pred.dist != NO_BYPASS:
             ssn_byp = entry.ssn_rename_at_dispatch + 1 - pred.dist
-        counters = self.ssn
-        if ssn_byp <= counters.commit or ssn_byp > counters.rename:
+        if ssn_byp <= self.ssn_commit or ssn_byp > self.ssn_rename:
             # Predictor miss, non-bypass prediction, or the predicted store
             # already committed: plain (unscheduled) cache access.
             self._setup_nonbypassing_load(entry)
@@ -1006,24 +982,24 @@ class Processor:
     ) -> None:
         """Dispatch-time setup + scheduling of a plain cache-reading load.
 
-        The second-hottest dispatch path (every non-bypassed load):
-        _enter_issue_queue and _try_schedule's immediate-success case are
-        inlined, mirroring the simple-op fast path in _dispatch_stage (same
-        fresh-entry/no-waiters argument; entry.producers only materializes
-        when a producer is still unscheduled).
+        The second-hottest dispatch path (every non-bypassed load), with
+        _enter_issue_queue and _try_schedule's immediate-success case
+        written out, mirroring the simple-op fast path in _dispatch_stage
+        (same fresh-entry/no-waiters argument; entry.producers only
+        materializes when a producer is still unscheduled).
         """
         inst = entry.inst
         entry.sched_kind = "load"
         entry.min_ready = min_ready
         entry.in_iq = True
         self.stats.iq_dispatches += 1
-        stacks = self.mapper._stacks
+        rename_map = self.rename_map
         ready = entry.dispatch_cycle + 1 + self._exec_delay
         if min_ready > ready:
             ready = min_ready
         blocked_on = None
         for reg in inst.srcs:
-            stack = stacks[reg]
+            stack = rename_map[reg]
             if stack:
                 producer = stack[-1][1]
                 complete = producer.complete_cycle
@@ -1034,29 +1010,30 @@ class Processor:
                     ready = complete
         if blocked_on is not None:
             entry.producers = tuple(
-                stack[-1][1] for reg in inst.srcs if (stack := stacks[reg])
+                stack[-1][1] for reg in inst.srcs
+                if (stack := rename_map[reg])
             )
             self._sched_waiters.setdefault(blocked_on.seq, []).append(entry)
-            self.iq.add_unscheduled()
+            self.iq_unscheduled += 1
             return
-        # PortSchedule.reserve's first-probe success inlined; contended
-        # cycles fall back to the full probe loop.
-        ports = self.ports
-        used = ports._used_by_cycle.get(ready)
+        # _reserve_port's first probe; contended cycles fall back to the
+        # full probe loop.
+        port_slots = self.port_slots
+        used = port_slots.get(ready)
         if used is None:
-            used = [0] * (len(ports._limits) + 1)
+            used = [0] * (len(_PORT_LIMITS) + 1)
             used[_LOAD_PORT] = 1
             used[-1] = 1
-            ports._used_by_cycle[ready] = used
+            port_slots[ready] = used
             issue = ready
-        elif used[-1] < ports.total_width and (
-            used[_LOAD_PORT] < ports._limits[_LOAD_PORT]
+        elif used[-1] < _ISSUE_WIDTH and (
+            used[_LOAD_PORT] < _PORT_LIMITS[_LOAD_PORT]
         ):
             used[_LOAD_PORT] += 1
             used[-1] += 1
             issue = ready
         else:
-            issue = ports.reserve(_LOAD_PORT, ready + 1)
+            issue = self._reserve_port(_LOAD_PORT, ready + 1)
         entry.issue_cycle = issue
         latency = self.hierarchy.read(inst.addr)
         if entry.sq_forwarded:
@@ -1079,13 +1056,7 @@ class Processor:
         entry.dcache_read_cycle = issue + self._l1_latency
         entry.complete_cycle = issue + latency
         self.stats.ooo_dcache_reads += 1
-        # iq.add_scheduled inlined.
-        iq = self.iq
-        heap = iq._scheduled
-        heappush(heap, issue)
-        current = len(heap) + iq._unscheduled
-        if current > iq.peak_occupancy:
-            iq.peak_occupancy = current
+        heappush(self.iq_heap, issue)
 
     def _setup_bypassing_load(
         self,
@@ -1100,7 +1071,6 @@ class Processor:
         entry.predicted_ssn = ssn_byp
         entry.predicted_store_seq = srq_entry.store_seq
         entry.predicted_shift = transform.shift
-        entry.ssn_nvul = ssn_byp
 
         def_producer = srq_entry.def_producer
         live_def = (
@@ -1112,10 +1082,13 @@ class Processor:
             # Pure rename short-circuit: the load's output register IS the
             # DEF's output register (reference-counted sharing).
             entry.sched_kind = "bypass"
-            entry.skips_issue_queue = True
             entry.producers = (live_def,) if live_def is not None else ()
             if live_def is not None and live_def.allocated_preg:
-                self.pregs.share(live_def.seq)
+                # Take a reference on the DEF's register (a no-op once the
+                # DEF has committed and released it).
+                refs = self.preg_refs
+                if live_def.seq in refs:
+                    refs[live_def.seq] += 1
                 entry.shared_with_seq = live_def.seq
         else:
             # Injected shift & mask operation in place of the load.
@@ -1124,10 +1097,12 @@ class Processor:
             entry.injected_op = True
             entry.producers = (live_def,) if live_def is not None else ()
             self._enter_issue_queue(entry)
-            self.pregs.allocate(entry.seq)
+            # Dispatch checked that a register is free.
+            self.free_pregs -= 1
+            self.preg_refs[entry.seq] = 1
             entry.allocated_preg = True
-        if inst.dst is not None:
-            self.mapper.define(inst.dst, entry.seq, entry)
+        if inst.dst is not None and inst.dst != REG_ZERO:
+            self.rename_map[inst.dst].append((entry.seq, entry))
         self._try_schedule(entry)
 
     # -- branches -------------------------------------------------------- #
@@ -1210,12 +1185,13 @@ class Processor:
         if kind == "bypass":
             entry.complete_cycle = ready
         elif kind == "exec":
-            entry.issue_cycle = self.ports.reserve(entry.port_class, ready)
+            entry.issue_cycle = self._reserve_port(entry.port_class, ready)
             entry.complete_cycle = entry.issue_cycle + entry.inst.lat
             if entry.in_iq:
-                self.iq.schedule_unscheduled(entry.issue_cycle)
+                self.iq_unscheduled -= 1
+                heappush(self.iq_heap, entry.issue_cycle)
         elif kind == "load":
-            issue = self.ports.reserve(_LOAD_PORT, ready)
+            issue = self._reserve_port(_LOAD_PORT, ready)
             entry.issue_cycle = issue
             latency = self.hierarchy.read(entry.inst.addr)
             if entry.sq_forwarded:
@@ -1230,7 +1206,8 @@ class Processor:
             entry.complete_cycle = issue + latency
             self.stats.ooo_dcache_reads += 1
             if entry.in_iq:
-                self.iq.schedule_unscheduled(issue)
+                self.iq_unscheduled -= 1
+                heappush(self.iq_heap, issue)
         else:  # "none"
             if entry.complete_cycle < 0:
                 entry.complete_cycle = entry.dispatch_cycle + 1
@@ -1253,20 +1230,17 @@ class Processor:
     # ------------------------------------------------------------------ #
 
     def _commit_stage(self, cycle: int) -> bool:
-        (
-            rob_entries, commit_width, lq, lq_unlimited, pregs, waiters,
-        ) = self._commit_ctx
+        rob, commit_width, preg_refs, waiters = self._commit_ctx
         committed = 0
         stores_committed = 0
         stats = self.stats
-        refcounts = pregs._refcounts
         retire_backlog = self._retire_backlog
         committed_total = self._committed_total
         warmup_target = self._warmup
         while committed < commit_width:
-            if not rob_entries:
+            if not rob:
                 break
-            entry = rob_entries[0]
+            entry = rob[0]
             complete = entry.complete_cycle
             if complete < 0 or complete > cycle:
                 break
@@ -1284,31 +1258,29 @@ class Processor:
                 stores_committed += 1
             elif inst.is_load:
                 stats.loads += 1
+                self.lq_occupancy -= 1
                 flushed = self._commit_load(entry, cycle)
             elif inst.is_branch:
                 stats.branches += 1
-            # _release_at_commit inlined (runs once per committed inst).
             seq = entry.seq
             if entry.allocated_preg:
-                # pregs.release inlined: drop one reference, free at zero.
-                count = refcounts.get(seq)
+                # _release_preg written out (once per committed inst).
+                count = preg_refs.get(seq)
                 if count is not None:
                     if count <= 1:
-                        del refcounts[seq]
-                        pregs._free += 1
+                        del preg_refs[seq]
+                        self.free_pregs += 1
                     else:
-                        refcounts[seq] = count - 1
+                        preg_refs[seq] = count - 1
             if entry.shared_with_seq >= 0:
-                pregs.release(entry.shared_with_seq)
-            if inst.is_load and not lq_unlimited:
-                lq.remove()
+                self._release_preg(entry.shared_with_seq)
             retire_backlog += 1
             if retire_backlog >= _RETIRE_BATCH:
                 retire_backlog = 0
-                self.mapper.retire_older_than(seq)
+                self._prune_rename_map(seq)
             if seq in waiters:
                 del waiters[seq]
-            rob_entries.popleft()
+            rob.popleft()
             committed += 1
             committed_total += 1
             if committed_total == warmup_target:
@@ -1339,10 +1311,8 @@ class Processor:
         self._inflight_stores.pop(inst.store_seq, None)
         if self._is_conventional:
             self._store_exec_cycles[inst.store_seq] = entry.complete_cycle
-        if self.sq is not None:
-            head = self.sq.commit_head()
-            if head.seq != inst.seq:
-                raise SimulationError("store queue head mismatch at commit")
+        if self._is_conventional and self.sq.popleft() != inst.seq:
+            raise SimulationError("store queue head mismatch at commit")
         if self.store_sets is not None:
             self.store_sets.store_retired(inst.pc, entry)
         # Wake loads waiting for this store to drain (NoSQ delay, partial
@@ -1359,11 +1329,6 @@ class Processor:
                 self._try_schedule(waiter)
 
     # -- loads ------------------------------------------------------------ #
-
-    def _ssn_nvul_at(self, read_cycle: int) -> int:
-        """Architectural SSN of the youngest store visible by *read_cycle*."""
-        index = bisect_right(self._visible_cycles, read_cycle) - 1
-        return max(0, index + 1 - self._epoch_store_base)
 
     def _arch_ssn(self, store_seq: int) -> int:
         return store_seq + 1 - self._epoch_store_base
@@ -1385,7 +1350,7 @@ class Processor:
                 raise SimulationError("forwarding store outlived the load")
             # Forwarded if the store had executed by the load's issue;
             # otherwise the load effectively read the cache.
-            executed_by = self._store_exec_cycle(forward)
+            executed_by = self._store_exec_cycles.get(forward)
             if executed_by is not None and executed_by <= entry.issue_cycle:
                 return True
         # Cache path: every source store must be observable by the read.
@@ -1404,36 +1369,49 @@ class Processor:
                 return False
         return True
 
-    def _store_exec_cycle(self, store_seq: int) -> int | None:
-        """Execution-complete cycle of a (now committed) store, if known."""
-        exec_cycle = self._store_exec_cycles.get(store_seq)
-        return exec_cycle
-
-    def _count_load_class(self, entry: InFlightInst) -> None:
-        """Classification statistics, counted once per *committed* load so
-        flush replays do not inflate them."""
-        if entry.bypassed:
-            self.stats.bypassed_loads += 1
-            if entry.injected_op:
-                self.stats.bypass_injected += 1
-            else:
-                self.stats.bypass_identity += 1
-        elif entry.smb_applied:
-            # Opportunistic SMB: the load still executed, but its consumers
-            # were short-circuited through rename.
-            self.stats.bypassed_loads += 1
-            self.stats.bypass_identity += 1
-            self.stats.nonbypassed_loads += 1
-        elif entry.delayed:
-            self.stats.delayed_loads += 1
+    def _release_preg(self, seq: int) -> None:
+        """Drop one reference on the register allocated by *seq*; free
+        it when the count reaches zero."""
+        refs = self.preg_refs
+        count = refs.get(seq)
+        if count is None:
+            return
+        if count <= 1:
+            del refs[seq]
+            self.free_pregs += 1
         else:
-            self.stats.nonbypassed_loads += 1
+            refs[seq] = count - 1
+
+    def _prune_rename_map(self, seq: int) -> None:
+        """Drop rename-map writers at or before *seq* that are shadowed.
+
+        The bottom of each stack only needs the youngest committed writer
+        (flush rollback may expose it); pruning the rest bounds memory on
+        long traces and is timing-neutral.  One scan + one bulk delete per
+        stack: commit calls this once per ``_RETIRE_BATCH`` commits, so
+        stacks carry a long committed prefix and repeated ``del stack[0]``
+        would be quadratic.
+        """
+        for stack in self.rename_map:
+            if not stack or stack[0][0] > seq:
+                continue
+            length = len(stack)
+            keep = 1
+            while keep < length and stack[keep][0] <= seq:
+                keep += 1
+            if keep == length:
+                # Every writer committed; the value is architectural.
+                stack.clear()
+            elif keep > 1:
+                # Shadowed committed prefix; keep the youngest committed.
+                del stack[:keep - 1]
 
     def _commit_load(self, entry: InFlightInst, cycle: int) -> bool:
         """Verify and commit the load at the ROB head; True if it flushed."""
         inst = entry.inst
         stats = self.stats
-        # _count_load_class inlined (runs once per committed load).
+        # Classification statistics, counted once per *committed* load so
+        # flush replays do not inflate them.
         if entry.bypassed:
             stats.bypassed_loads += 1
             if entry.injected_op:
@@ -1485,7 +1463,7 @@ class Processor:
         else:
             forwarded_effective = False
             if entry.sq_forwarded:
-                exec_cycle = self._store_exec_cycle(entry.predicted_store_seq)
+                exec_cycle = self._store_exec_cycles.get(entry.predicted_store_seq)
                 forwarded_effective = (
                     exec_cycle is not None and exec_cycle <= entry.issue_cycle
                 )
@@ -1494,7 +1472,8 @@ class Processor:
                 # forwarding store" (Section 2.2).
                 ssn_nvul = self._arch_ssn(entry.predicted_store_seq)
             else:
-                # _ssn_nvul_at inlined (runs once per non-forwarded load).
+                # The architectural SSN of the youngest store visible by
+                # the load's cache read.
                 ssn_nvul = (
                     bisect_right(
                         self._visible_cycles, entry.dcache_read_cycle
@@ -1503,7 +1482,6 @@ class Processor:
                 )
                 if ssn_nvul < 0:
                     ssn_nvul = 0
-            entry.ssn_nvul = ssn_nvul
             # SVWFilter.test_nonbypassing inlined (once per committed
             # non-bypassed load); keep in sync with repro.core.svw.
             svw_stats = self.svw.stats
@@ -1531,9 +1509,7 @@ class Processor:
                     f"SVW filtered a stale load at seq {inst.seq}"
                 )
 
-        # _train_on_commit's mode dispatch inlined: the common NoSQ case
-        # trains the bypassing predictor directly.
-        if self._train_kind == "nosq":
+        if self._nosq_training:
             self._train_bypass_predictor(entry, flush)
         else:
             self._train_on_commit(entry, mispredicted=flush)
@@ -1543,44 +1519,32 @@ class Processor:
         return flush
 
     def _train_on_commit(self, entry: InFlightInst, mispredicted: bool) -> None:
-        if self.config.smb_opportunistic:
+        """Commit-time training on the store-queue machines."""
+        inst = entry.inst
+        if self.config.smb_opportunistic and inst.is_load:
             # Opportunistic SMB verifies at execute; commit-time training
             # uses the ground-truth outcome of the applied short-circuit.
-            if entry.inst.is_load:
-                inst = entry.inst
-                if entry.smb_applied:
-                    train_event = (
-                        inst.containing_store != entry.predicted_store_seq
-                    )
-                else:
-                    # A missed short-circuit opportunity: the load forwarded
-                    # from a nearby store but no prediction was available.
-                    sources = inst.unique_stores
-                    train_event = bool(sources) and not entry.pred_hit and (
-                        entry.ssn_rename_at_dispatch + 1
-                        - self._arch_ssn(max(sources))
-                        <= self.config.bypass_predictor.max_distance
-                    )
-                self._train_bypass_predictor(entry, train_event)
-            if mispredicted and self.store_sets is not None:
-                sources = entry.inst.unique_stores
-                if sources:
-                    store_pc = self._store_insts[max(sources)].pc
-                    self.store_sets.train_violation(entry.inst.pc, store_pc)
-            return
-        if self.bypass_predictor is None:
-            if (
-                mispredicted
-                and self.store_sets is not None
-            ):
-                # Conventional violation: put the load and the youngest
-                # in-window source store in a common store set.
-                sources = entry.inst.unique_stores
-                if sources:
-                    store_pc = self._store_insts[max(sources)].pc
-                    self.store_sets.train_violation(entry.inst.pc, store_pc)
-            return
-        self._train_bypass_predictor(entry, mispredicted)
+            if entry.smb_applied:
+                train_event = (
+                    inst.containing_store != entry.predicted_store_seq
+                )
+            else:
+                # A missed short-circuit opportunity: the load forwarded
+                # from a nearby store but no prediction was available.
+                sources = inst.unique_stores
+                train_event = bool(sources) and not entry.pred_hit and (
+                    entry.ssn_rename_at_dispatch + 1
+                    - self._arch_ssn(max(sources))
+                    <= self.config.bypass_predictor.max_distance
+                )
+            self._train_bypass_predictor(entry, train_event)
+        if mispredicted and self.store_sets is not None:
+            # Conventional violation: put the load and the youngest
+            # in-window source store in a common store set.
+            sources = inst.unique_stores
+            if sources:
+                store_pc = self._store_insts[max(sources)].pc
+                self.store_sets.train_violation(inst.pc, store_pc)
 
     def _train_bypass_predictor(
         self, entry: InFlightInst, mispredicted: bool
@@ -1645,33 +1609,48 @@ class Processor:
         self._dispatch_barrier = max(
             self._dispatch_barrier, detect + self._frontend_depth
         )
-        squashed = self.rob.squash_younger(victim.seq)
-        lq_frees = 0
+        rob = self.rob
+        squashed = []
+        while rob and rob[-1].seq > victim.seq:
+            squashed.append(rob.pop())
+        squashed.reverse()
+        iq_heap = self.iq_heap
+        iq_removed = False
         for entry in squashed:
             entry.squashed = True
             if entry.allocated_preg:
-                self.pregs.release(entry.seq)
+                self._release_preg(entry.seq)
             if entry.shared_with_seq >= 0:
-                self.pregs.release(entry.shared_with_seq)
+                self._release_preg(entry.shared_with_seq)
             if entry.in_iq:
                 if entry.issue_cycle < 0:
-                    self.iq.remove_unscheduled(1)
-                elif entry.issue_cycle > cycle:
-                    self.iq.remove_scheduled(entry.issue_cycle)
-            if entry.inst.is_load and not self.lq.unlimited:
-                lq_frees += 1
+                    self.iq_unscheduled -= 1
+                elif entry.issue_cycle > cycle and entry.issue_cycle in iq_heap:
+                    iq_heap.remove(entry.issue_cycle)
+                    iq_removed = True
+            if entry.inst.is_load:
+                self.lq_occupancy -= 1
             if entry.inst.is_store:
                 self._inflight_stores.pop(entry.inst.store_seq, None)
                 if self.store_sets is not None:
                     self.store_sets.store_retired(entry.inst.pc, entry)
             self._sched_waiters.pop(entry.seq, None)
-        if lq_frees:
-            self.lq.remove(lq_frees)
-        self.mapper.squash_younger(victim.seq)
-        self.ssn.squash_to(victim.ssn_rename_at_dispatch)
-        self.srq.squash_above(victim.ssn_rename_at_dispatch)
-        if self.sq is not None:
-            self.sq.squash_younger(victim.seq)
+        if iq_removed:
+            heapify(iq_heap)
+        for stack in self.rename_map:
+            while stack and stack[-1][0] > victim.seq:
+                stack.pop()
+        rollback = victim.ssn_rename_at_dispatch
+        if not self.ssn_commit <= rollback <= self.ssn_rename:
+            raise SimulationError(
+                f"cannot roll SSNrename back to {rollback} "
+                f"(commit={self.ssn_commit}, rename={self.ssn_rename})"
+            )
+        self.ssn_rename = rollback
+        self.srq.squash_above(rollback)
+        sq = self.sq
+        while sq and sq[-1] > victim.seq:
+            sq.pop()
         self._pos = victim.seq + 1
 
     # ------------------------------------------------------------------ #
@@ -1683,7 +1662,8 @@ class Processor:
         self.stats.ssn_wraps += 1
         self.ssbf.clear()
         self.srq.clear()
-        self.ssn.reset()
+        self.ssn_rename = 0
+        self.ssn_commit = 0
         self._epoch_store_base = len(self._visible_cycles)
         self._drain_pending = False
         self._dispatch_barrier = max(

@@ -118,3 +118,61 @@ def comm_loop_specs(iterations=64, base_pc=0x2000, store_size=8,
 def tiny_comm_trace():
     """The canonical bypassing loop (fixed-PC loop body)."""
     return build_trace(comm_loop_specs())
+
+
+class WindowWatcher:
+    """Mixin recording a :class:`Processor`'s window state after every
+    dispatch and commit stage: peak occupancies, commit order, and the
+    consistency of the store queue and SSN counters with the ROB."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        self.peak = {"rob": 0, "iq": 0, "lq": 0, "sq": 0}
+        self.min_free_pregs = self.free_pregs
+        self.committed = []        # InFlightInst, in commit order
+        self.sq_heads = []         # (SQ head, committing store seq)
+        self.inconsistent = []     # descriptions of broken invariants
+
+    def _observe(self, cycle):
+        iq = sum(1 for c in self.iq_heap if c > cycle) + self.iq_unscheduled
+        for name, value in (("rob", len(self.rob)), ("iq", iq),
+                            ("lq", self.lq_occupancy), ("sq", len(self.sq))):
+            self.peak[name] = max(self.peak[name], value)
+        self.min_free_pregs = min(self.min_free_pregs, self.free_pregs)
+        if self._is_conventional:
+            rob_stores = [e.seq for e in self.rob if e.inst.is_store]
+            if list(self.sq) != rob_stores:
+                self.inconsistent.append(f"cycle {cycle}: sq {list(self.sq)}")
+        in_flight = len(self._inflight_stores) + len(self._pending_commits)
+        if self.ssn_rename - self.ssn_commit != in_flight:
+            self.inconsistent.append(f"cycle {cycle}: ssn span")
+
+    def _dispatch_stage(self, cycle):
+        progressed = super()._dispatch_stage(cycle)
+        self._observe(cycle)
+        return progressed
+
+    def _commit_stage(self, cycle):
+        before = list(self.rob)
+        progressed = super()._commit_stage(cycle)
+        oldest_left = self.rob[0].seq if self.rob else None
+        self.committed.extend(
+            e for e in before
+            if not e.squashed and (oldest_left is None or e.seq < oldest_left)
+        )
+        self._observe(cycle)
+        return progressed
+
+    def _commit_store(self, entry, cycle):
+        if self._is_conventional:
+            self.sq_heads.append((self.sq[0], entry.seq))
+        super()._commit_store(entry, cycle)
+
+
+def watched_run(config, trace):
+    """Run *trace* on a watched :class:`Processor`; returns it and the
+    run statistics."""
+    from repro.pipeline.processor import Processor
+
+    processor = type("Watched", (WindowWatcher, Processor), {})(config)
+    return processor, processor.run(trace)

@@ -196,6 +196,15 @@ class TestValidationErrors:
         ("nosq?a.b.c=1", "nest at most one level"),
         ("standard", "is a config *set*"),
         ("nosq?bypass.impl=nope", "no registered bypass_predictor"),
+        ("nosq?backend.rob_size=0", "rob_size must be at least 1"),
+        ("nosq?backend.iq_size=0", "iq_size must be at least 1"),
+        ("nosq?backend.phys_regs=10", "phys_regs must be at least 65"),
+        ("nosq?backend.ssn_bits=2", "ssn_bits must be at least 4"),
+        ("conventional?backend.sq_size=0", "sq_size must be at least 1"),
+        ("nosq?backend.sq_size=24", "sq_size must be 0 on NoSQ"),
+        ("nosq?backend.lq_size=0", "lq_size must be at least 1"),
+        ("conventional?lq_size=0", "lq_size must be at least 1"),
+        ("nosq?width=0", "width must be at least 1"),
     ])
     def test_error_messages(self, spec, fragment):
         with pytest.raises(ConfigSpecError) as excinfo:

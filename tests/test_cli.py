@@ -89,6 +89,13 @@ class TestCommands:
         assert main(["run", "nosq?rob_sz=64", "applu", "-n", "2000"]) == 2
         assert "did you mean 'rob_size'" in capsys.readouterr().err
 
+    def test_run_out_of_range_size_exits_2(self, capsys):
+        assert main(["run", "nosq?backend.rob_size=0", "gzip",
+                     "-n", "2000"]) == 2
+        err = capsys.readouterr().err
+        assert "rob_size must be at least 1" in err
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
     def test_run_trace_file_clamps_default_warmup(self, capsys, tmp_path):
         # File sources keep their intrinsic length; the default warmup
         # (15000) must not swallow a short recorded trace.

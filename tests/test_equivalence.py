@@ -10,7 +10,7 @@ interleavings and in-flight windows.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.ooo.lsq import ForwardKind, StoreQueue, StoreQueueEntry
+from repro.ooo import search_store_queue
 from repro.pipeline import MachineConfig
 from repro.pipeline.processor import Processor
 from tests.conftest import build_trace
@@ -45,29 +45,17 @@ def test_sq_search_matches_classification(stores, load_slot, load_size, committe
     trace = build_trace(specs)
     load = trace[-1]
 
-    # Build the store queue with only the in-flight suffix of the stores.
-    sq = StoreQueue(capacity=64)
-    for inst in trace[:-1]:
-        if inst.store_seq >= committed:
-            sq.insert(
-                StoreQueueEntry(
-                    seq=inst.seq, ssn=inst.store_seq + 1,
-                    addr=inst.addr, size=inst.size, execute_complete=0,
-                )
-            )
-    search = sq.search(load)
+    # Search a store queue holding only the in-flight suffix of the stores.
+    inflight = [inst for inst in trace[:-1] if inst.store_seq >= committed]
+    search_kind, store = search_store_queue(inflight, load)
 
     # Mirror the processor's in-flight view.
     processor = Processor(MachineConfig.conventional())
     processor._inflight_stores = {
-        inst.store_seq: object()
-        for inst in trace[:-1]
-        if inst.store_seq >= committed
+        inst.store_seq: object() for inst in inflight
     }
     kind, source = processor._classify_against_sq(load)
 
-    assert kind == search.kind.value
-    if search.kind is ForwardKind.FULL:
-        assert source == trace[search.store.seq].store_seq
-    elif search.kind is ForwardKind.PARTIAL:
-        assert source == trace[search.youngest_seq].store_seq
+    assert kind == search_kind
+    if store is not None:
+        assert source == store.store_seq

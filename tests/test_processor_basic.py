@@ -2,9 +2,17 @@
 
 import pytest
 
+from repro.api import resolve_config
+from repro.harness.runner import SMOKE, make_trace
 from repro.pipeline import MachineConfig, Processor, simulate
 from repro.pipeline.processor import SimulationError
+from repro.validate import run_diff
 from tests.conftest import build_trace, comm_loop_specs
+
+
+@pytest.fixture(scope="module")
+def gzip_smoke():
+    return make_trace("gzip", SMOKE)
 
 
 def nosq(**kwargs):
@@ -246,6 +254,18 @@ class TestSSNWraparound:
         specs = [("st", 0x8000 + 8 * (i % 32), 8, 8) for i in range(200)]
         stats = simulate(config, build_trace(specs))
         assert stats.ssn_wraps >= 2
+
+
+    @pytest.mark.parametrize(
+        "spec", ("nosq", "conventional", "nosq-perfect")
+    )
+    def test_drains_hold_every_invariant(self, gzip_smoke, spec):
+        # 4-bit SSNs wrap every 15 stores: gzip drains dozens of times,
+        # and the oracle diff checks every load and store across them.
+        config = resolve_config(f"{spec}?ssn_bits=4")
+        report = run_diff(config, gzip_smoke)
+        assert report.stats.ssn_wraps > 0
+        assert report.ok, report.describe()
 
 
 class TestLoadQueue:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.harness.runner import ExperimentScale, make_trace, standard_configs
+from repro.isa.instructions import NUM_ARCH_REGS
 from repro.pipeline import MachineConfig, Processor, simulate
 
 TINY = ExperimentScale("tiny", num_instructions=5_000, warmup=2_000)
@@ -72,19 +73,28 @@ class TestStructureAccounting:
         processor = Processor(MachineConfig.nosq())
         processor.run(gzip_trace)
         # Everything committed: all rename registers must be free again.
-        assert processor.pregs.free == (
-            processor.pregs.total - processor.pregs.arch_regs
+        assert processor.free_pregs == (
+            processor.config.phys_regs - NUM_ARCH_REGS
         )
+        assert processor.preg_refs == {}
 
     def test_issue_queue_drains(self, gzip_trace):
         processor = Processor(MachineConfig.nosq())
         stats = processor.run(gzip_trace)
-        assert processor.iq.occupancy(stats.cycles + 1000) == 0
+        assert processor.iq_unscheduled == 0
+        assert all(issue <= stats.cycles for issue in processor.iq_heap)
 
     def test_store_queue_drains(self, gzip_trace):
         processor = Processor(MachineConfig.conventional())
         processor.run(gzip_trace)
-        assert len(processor.sq) == 0
+        assert not processor.sq
+        assert not processor.rob
+
+    def test_load_queue_drains(self, gzip_trace):
+        for config in (MachineConfig.nosq(), MachineConfig.conventional()):
+            processor = Processor(config)
+            processor.run(gzip_trace)
+            assert processor.lq_occupancy == 0
 
     def test_srq_drains(self, gzip_trace):
         processor = Processor(MachineConfig.nosq())
@@ -94,4 +104,4 @@ class TestStructureAccounting:
     def test_ssn_counters_converge(self, gzip_trace):
         processor = Processor(MachineConfig.nosq())
         processor.run(gzip_trace)
-        assert processor.ssn.in_flight == 0
+        assert processor.ssn_rename == processor.ssn_commit

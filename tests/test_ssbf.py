@@ -43,7 +43,10 @@ class TestTaggedSSBF:
         ssbf.update(0x104, 8, ssn=9)   # touches words 0x100 and 0x108
         assert ssbf.lookup(0x100).ssn == 9
         assert ssbf.lookup(0x108).ssn == 9
-        assert ssbf.lookup(0x108).offset == 0
+        # The second word's entry places the store's start 4 bytes
+        # before its base, so shifts verify from the store's start.
+        assert ssbf.lookup(0x108).offset == -4
+        assert ssbf.lookup(0x108).store_range == (0, 4)
 
     def test_fifo_eviction_raises_watermark(self):
         ssbf = TaggedSSBF(entries=4, assoc=4)   # one set

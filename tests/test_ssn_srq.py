@@ -1,56 +1,66 @@
-"""Tests for SSN counters and the store register queue."""
+"""Tests for the SSN counters and the store register queue."""
+
+from dataclasses import replace
 
 import pytest
 
-from repro.core import SRQEntry, SSNCounters, StoreRegisterQueue
+from repro.core import SRQEntry, StoreRegisterQueue
+from repro.ooo import InFlightInst
+from repro.pipeline import MachineConfig, Processor
+from repro.pipeline.processor import SimulationError
+from tests.conftest import build_trace, watched_run
+
+STORES = [("st", 0x8000 + 8 * (i % 8), 8, 8) for i in range(40)]
+
+
+def _store_ssns(processor):
+    return [e.ssn for e in processor.committed if e.inst.is_store]
 
 
 class TestSSNCounters:
+    """SSNrename / SSNcommit: ``Processor.ssn_rename``/``ssn_commit``."""
+
     def test_monotonic_rename(self):
-        ssn = SSNCounters()
-        first, _ = ssn.next_rename()
-        second, _ = ssn.next_rename()
-        assert (first, second) == (1, 2)
+        processor, _ = watched_run(MachineConfig.nosq(), build_trace(STORES))
+        assert _store_ssns(processor) == list(range(1, 41))
 
     def test_in_flight_occupancy(self):
-        ssn = SSNCounters()
-        ssn.next_rename()
-        ssn.next_rename()
-        assert ssn.in_flight == 2
-        ssn.advance_commit()
-        assert ssn.in_flight == 1
+        # SSNrename - SSNcommit counts the stores renamed but not yet
+        # visible in the cache, after every stage.
+        for config in (MachineConfig.nosq(), MachineConfig.conventional()):
+            processor, _ = watched_run(config, build_trace(STORES))
+            assert processor.inconsistent == []
+            assert processor.ssn_rename == processor.ssn_commit == 40
 
     def test_commit_cannot_pass_rename(self):
-        ssn = SSNCounters()
-        with pytest.raises(RuntimeError):
-            ssn.advance_commit()
+        processor = Processor(MachineConfig.nosq())
+        processor._pending_commits.append((0, 1, 0))
+        with pytest.raises(SimulationError, match="SSNcommit would pass"):
+            processor._advance_ssn_commit(0)
 
     def test_squash_rolls_back_rename(self):
-        ssn = SSNCounters()
-        for _ in range(5):
-            ssn.next_rename()
-        ssn.advance_commit()
-        ssn.squash_to(3)
-        assert ssn.rename == 3
-        with pytest.raises(ValueError):
-            ssn.squash_to(0)   # below SSNcommit
+        (victim,) = [InFlightInst(i, 0) for i in build_trace([("ld", 0, 8)])]
+        processor = Processor(MachineConfig.nosq())
+        processor.ssn_rename, processor.ssn_commit = 5, 1
+        victim.ssn_rename_at_dispatch = 3
+        processor.rob.append(victim)
+        processor._flush_after(victim, 0)
+        assert processor.ssn_rename == 3
+        victim.ssn_rename_at_dispatch = 0      # below SSNcommit
+        with pytest.raises(SimulationError, match="cannot roll"):
+            processor._flush_after(victim, 0)
 
     def test_wraparound_signals_drain(self):
-        ssn = SSNCounters(bits=4)   # wraps at 16
-        wrapped_at = None
-        for i in range(20):
-            value, wrapped = ssn.next_rename()
-            ssn.advance_commit()
-            if wrapped:
-                wrapped_at = i
-                assert value == 1   # renumbered from scratch
-                break
-        assert wrapped_at is not None
-        assert ssn.wraps == 1
+        config = replace(MachineConfig.nosq(), ssn_bits=4)   # wraps at 16
+        processor, stats = watched_run(config, build_trace(STORES))
+        # Renaming SSN 16 drains the pipeline; numbering restarts at 1.
+        assert _store_ssns(processor) == [i % 15 + 1 for i in range(40)]
+        assert stats.ssn_wraps == 2
+        assert processor.inconsistent == []
 
     def test_minimum_bits(self):
-        with pytest.raises(ValueError):
-            SSNCounters(bits=2)
+        with pytest.raises(ValueError, match="ssn_bits"):
+            Processor(replace(MachineConfig.nosq(), ssn_bits=2))
 
 
 def _srq_entry(ssn, store_seq=0, size=8, fp=False):

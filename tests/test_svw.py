@@ -85,6 +85,19 @@ class TestBypassingEquality:
         verdict = svw.test_bypassing(0x900, 8, ssn_byp=5, predicted_shift=0)
         assert verdict is BypassVerdict.REEXEC
 
+    def test_word_straddling_store_verified_from_its_start(self):
+        """A store straddling two words: a load in the second word is
+        verified against the shift from the store's start, not from the
+        word base."""
+        svw = make_filter()
+        svw.store_commit(0x107, 8, ssn=5)   # bytes 0x107..0x10e
+        assert svw.test_bypassing(0x108, 1, 5, 1) is BypassVerdict.SKIP
+        assert svw.test_bypassing(0x10c, 2, 5, 5) is BypassVerdict.SKIP
+        assert (svw.test_bypassing(0x108, 1, 5, 0)
+                is BypassVerdict.TRANSFORM_MISMATCH)
+        assert (svw.test_bypassing(0x10e, 2, 5, 7)
+                is BypassVerdict.TRANSFORM_MISMATCH)   # past the store
+
     def test_word_spanning_load_reexecutes(self):
         svw = make_filter()
         svw.store_commit(0x100, 8, ssn=5)

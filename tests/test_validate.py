@@ -381,7 +381,9 @@ class TestReproCases:
             load_repro_case(path)
 
     @pytest.mark.parametrize(
-        "fixture", ("repro_svw_miss.bt", "repro_partial_word.bt")
+        "fixture",
+        ("repro_svw_miss.bt", "repro_partial_word.bt",
+         "repro_straddling_store.bt"),
     )
     def test_committed_fixtures_replay_clean(self, fixture):
         # The committed minimal repros were shrunk against *mutated*
@@ -393,6 +395,16 @@ class TestReproCases:
         report = run_diff(
             resolve_config(case.config_name), case.trace, benchmark=fixture
         )
+        assert report.ok, report.describe()
+
+    @pytest.mark.parametrize(
+        "config", ("nosq", "nosq-nodelay", "nosq-perfect")
+    )
+    def test_straddling_store_repro_clean_on_nosq(self, config):
+        # A store straddling two words, then a load of the second word:
+        # SVW must verify the bypass shift from the store's start.
+        case = load_repro_case("tests/data/repro_straddling_store.bt")
+        report = run_diff(resolve_config(config), case.trace)
         assert report.ok, report.describe()
 
     def test_fixture_is_reproducible_from_fuzz_coordinates(self):
