@@ -9,7 +9,7 @@ measures the effect across benchmarks with very different bypassing rates.
 Run:  python examples/cache_bandwidth.py
 """
 
-from repro import MachineConfig, generate_trace, simulate
+from repro.api import sweep
 
 BENCHMARKS = ["mesa.o", "mpeg2.d", "vortex", "gzip", "g721.e", "applu", "mcf"]
 
@@ -17,12 +17,12 @@ BENCHMARKS = ["mesa.o", "mpeg2.d", "vortex", "gzip", "g721.e", "applu", "mcf"]
 def main() -> None:
     print(f"{'benchmark':10s} {'bypass%':>8s} {'ooo reads':>10s} "
           f"{'backend reads':>14s} {'total rel.':>11s} {'reexec%':>8s}")
-    length, warmup = 30_000, 12_000
+    # The default scale: 30000 instructions, the first 12000 warmup.
+    swept = sweep("conventional,nosq", BENCHMARKS, scale="default")
     total_rels = []
     for benchmark in BENCHMARKS:
-        trace = generate_trace(benchmark, num_instructions=length)
-        baseline = simulate(MachineConfig.conventional(), trace, warmup=warmup)
-        nosq = simulate(MachineConfig.nosq(), trace, warmup=warmup)
+        baseline = swept.stats(benchmark, "conventional")
+        nosq = swept.stats(benchmark, "nosq")
         base_reads = max(1, baseline.total_dcache_reads)
         rel = nosq.total_dcache_reads / base_reads
         total_rels.append(rel)

@@ -16,16 +16,17 @@ reports how NoSQ classified the loads.
 Run:  python examples/forwarding_idioms.py
 """
 
-from repro import MachineConfig, simulate
-from repro.isa.trace import communication_stats
+from repro.api import simulate
 from repro.workloads import programs
 
 
 def main() -> None:
     for program in programs.all_programs():
-        result = programs.build_trace(program)
-        trace = result.trace
-        stats = communication_stats(trace)
+        trace = programs.build_trace(program).trace
+        warmup = len(trace) // 4
+        baseline = simulate("conventional", trace, warmup=warmup).stats
+        nosq_run = simulate("nosq", trace, warmup=warmup)
+        nosq, stats = nosq_run.stats, nosq_run.trace_stats
         print(f"== {program.name}: {program.description}")
         print(
             f"   {len(trace)} instructions, {stats.loads} loads, "
@@ -33,10 +34,6 @@ def main() -> None:
             f"({stats.pct_partial_word:.0f}% partial-word, "
             f"{stats.multi_source_loads} multi-source)"
         )
-
-        warmup = len(trace) // 4
-        baseline = simulate(MachineConfig.conventional(), trace, warmup=warmup)
-        nosq = simulate(MachineConfig.nosq(), trace, warmup=warmup)
 
         rel = nosq.cycles / max(1, baseline.cycles)
         print(

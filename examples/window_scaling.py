@@ -8,8 +8,8 @@ bypassing predictor that is deliberately *not* enlarged.  The paper finds
 realistic NoSQ's average improvement halves at 256 entries while idealized
 SMB improves.
 
-The sweep runs through the campaign engine via ``run_suite(jobs=, cache=)``
-(see ROADMAP.md "Running campaigns"): each benchmark's trace is generated
+The sweep runs through the campaign engine via ``repro.api.sweep(jobs=,
+cache=)`` (see ROADMAP.md "Running campaigns"): each benchmark's trace is generated
 once and shared across its configurations, the benchmarks are sharded over
 worker processes, and results are memoized in a content-addressed cache so
 a re-run completes from cache in seconds.
@@ -19,19 +19,12 @@ Run:  python examples/window_scaling.py [jobs]
 
 import sys
 
-from repro import MachineConfig
-from repro.harness.runner import DEFAULT, run_suite
+from repro.api import sweep
 
 BENCHMARKS = ["g721.e", "mesa.o", "gzip", "vortex", "applu"]
-
-
-def window_configs(window: int) -> list[MachineConfig]:
-    return [
-        MachineConfig.conventional(window=window, perfect_scheduling=True),
-        MachineConfig.conventional(window=window),
-        MachineConfig.nosq(window=window, delay=True),
-        MachineConfig.nosq(window=window, perfect=True),
-    ]
+#: Perfect-scheduling baseline, associative SQ, NoSQ with delay, and
+#: idealized NoSQ; ``window=`` sizes each of them.
+CONFIGS = "conventional-perfect,conventional,nosq,nosq-perfect"
 
 
 def main() -> None:
@@ -40,13 +33,10 @@ def main() -> None:
           f"{'NoSQ delay':>11s} {'perfect SMB':>12s}")
     for window in (128, 256):
         suffix = "-w256" if window == 256 else ""
-        results = run_suite(
-            BENCHMARKS,
-            window_configs(window),
-            scale=DEFAULT,
-            jobs=jobs,
-            cache="results/cache",
-        )
+        results = sweep(
+            CONFIGS, BENCHMARKS, scale="default", window=window,
+            jobs=jobs, cache="results/cache",
+        ).results()
         baseline_name = f"sq-perfect{suffix}"
         for benchmark in BENCHMARKS:
             result = results[benchmark]

@@ -30,7 +30,7 @@ import argparse
 import time
 from pathlib import Path
 
-from repro.api import standard_configs
+from repro.api import sweep
 from repro.experiments import ResultCache
 from repro.harness import (
     DEFAULT,
@@ -46,7 +46,6 @@ from repro.harness import (
     render_figure4,
     render_figure5,
     render_table5,
-    run_suite,
 )
 from repro.harness.table5 import table5_row
 from repro.workloads.profiles import PROFILES, SELECTED_BENCHMARKS
@@ -97,19 +96,21 @@ def main() -> None:
         f"{scale.warmup} warmup; jobs={args.jobs}, seed={args.seed}, "
         f"cache={'off' if cache is None else args.cache_dir}")
     start = time.time()
-    sweep = dict(scale=scale, seed=args.seed, jobs=args.jobs, cache=cache)
+    options = dict(scale=scale, seed=args.seed, jobs=args.jobs, cache=cache)
 
     # One sweep of the five standard configs over all 47 benchmarks.
     all_benchmarks = list(PROFILES)
-    results = run_suite(
-        all_benchmarks, standard_configs(),
-        progress=lambda name: log(f"  {name}"), **sweep,
-    )
 
-    rows = [
-        table5_row(name, scale=scale, result=results[name])
-        for name in all_benchmarks
-    ]
+    def progress(event) -> None:
+        if event.kind == "start":
+            log(f"  {event.benchmark}")
+
+    results = sweep(
+        "standard", all_benchmarks, scale, seeds=(args.seed,),
+        jobs=args.jobs, cache=cache, progress=progress,
+    ).results()
+
+    rows = [table5_row(name, result=results[name]) for name in all_benchmarks]
     write("table5.txt", render_table5(rows))
 
     points = figure2_series(all_benchmarks, scale=scale, results=results)
@@ -119,18 +120,18 @@ def main() -> None:
     write("figure4.txt", render_figure4(fig4))
 
     log("figure 3 (256-entry window)")
-    fig3 = figure3_series(SELECTED_BENCHMARKS, **sweep)
+    fig3 = figure3_series(SELECTED_BENCHMARKS, **options)
     write("figure3.txt", render_figure3(fig3))
 
     log("figure 5 (capacity sweep)")
-    cap = figure5_capacity_series(SELECTED_BENCHMARKS, **sweep)
+    cap = figure5_capacity_series(SELECTED_BENCHMARKS, **options)
     write(
         "figure5_capacity.txt",
         render_figure5(cap, "Figure 5 (top): predictor capacity sweep"),
     )
 
     log("figure 5 (history sweep)")
-    hist = figure5_history_series(SELECTED_BENCHMARKS, **sweep)
+    hist = figure5_history_series(SELECTED_BENCHMARKS, **options)
     write(
         "figure5_history.txt",
         render_figure5(hist, "Figure 5 (bottom): path-history length sweep"),

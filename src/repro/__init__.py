@@ -11,18 +11,15 @@ Quick start (the public façade, :mod:`repro.api`)::
                       scale="smoke")
     print(result.ipc, custom.ipc)
 
-The low-level entry points remain::
+``repro.api.simulate`` and ``repro.api.sweep`` are the one public way to
+run the simulator.  Underneath them, one
+:class:`~repro.pipeline.processor.Processor` runs one configuration over
+one annotated trace::
 
-    from repro import MachineConfig, generate_trace, simulate
+    from repro import MachineConfig, Processor, generate_trace
 
     trace = generate_trace("gzip", num_instructions=20_000)
-    base = simulate(MachineConfig.conventional(), trace)
-    nosq = simulate(MachineConfig.nosq(), trace)
-    print(base.ipc, nosq.ipc)
-
-(Note there are two ``simulate`` functions: ``repro.simulate`` is the historical
-``(config, trace) -> RunStats`` wrapper; ``repro.api.simulate`` is the
-typed ``(config_spec, source, scale) -> SimResult`` façade.)
+    stats = Processor(MachineConfig.nosq()).run(trace, warmup=10_000)
 
 Package map:
 
@@ -43,7 +40,7 @@ Package map:
   component registry, typed ``simulate``/``sweep`` entry points
 """
 
-from repro.pipeline import MachineConfig, Processor, RunStats, simulate
+from repro.pipeline import MachineConfig, Processor, RunStats
 from repro.workloads import generate_trace, profile, PROFILES
 
 __version__ = "1.0.0"
@@ -52,7 +49,6 @@ __all__ = [
     "MachineConfig",
     "Processor",
     "RunStats",
-    "simulate",
     "generate_trace",
     "profile",
     "PROFILES",

@@ -31,10 +31,12 @@ Quick start::
     swept = sweep("nosq*", ["gzip", "mcf"], scale="smoke", jobs=4,
                   cache="results/cache")
 
-The historical entry points (``MachineConfig.conventional()``/``nosq()``,
-``repro.harness.runner.standard_configs``, ``repro.simulate``) remain as
-thin shims over this façade; the five standard presets resolve to configs
-bit-identical to those factories, so existing campaign caches stay valid.
+``simulate`` and ``sweep`` are the one public way to run the simulator.
+The named config sets (``config_set("standard", window)``, ``table5``,
+``figure4``) are what the table/figure builders sweep, and the five
+standard presets resolve to configs bit-identical to the
+``MachineConfig.conventional()``/``nosq()`` factories, so existing
+campaign caches stay valid.
 """
 
 from repro.api.components import (
@@ -67,7 +69,6 @@ from repro.api.configs import (
     register_config,
     resolve_config,
     resolve_configs,
-    standard_configs,
     unregister_config,
 )
 from repro.api.facade import (
@@ -114,7 +115,6 @@ __all__ = [
     "resolve_configs",
     "resolve_scale",
     "simulate",
-    "standard_configs",
     "sweep",
     "unregister_component",
     "unregister_config",

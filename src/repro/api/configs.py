@@ -665,12 +665,6 @@ def config_set(name: str, window: int = 128) -> list[MachineConfig]:
     return [REGISTRY.resolve(member, window) for member in sets[name]]
 
 
-def standard_configs(window: int = 128) -> list[MachineConfig]:
-    """The four configurations of Figures 2 and 3, plus the normalization
-    baseline (associative SQ + perfect scheduling)."""
-    return config_set("standard", window)
-
-
 # --------------------------------------------------------------------- #
 # Serialization: dict / JSON / TOML round trips and stable hashing.
 # --------------------------------------------------------------------- #

@@ -9,9 +9,7 @@ Installed as the ``repro`` console script (``pip install -e .``);
     repro run nosq gzip --scale smoke         # one config spec, one benchmark
     repro run 'nosq?backend.rob_size=256' zoo.pchase --scale smoke
     repro run nosq@256 conventional@256 gzip  # several configs, one table
-    repro compare gzip vortex applu           # several benchmarks
-    repro table5 gzip mesa.o                  # Table 5 rows
-    repro figure2 gzip applu                  # Figure 2 bars
+    repro run conventional nosq gzip vortex   # several benchmarks
     repro list                                # benchmarks, configs, sources
     repro program stack_spill                 # run a mini-ISA program
 
@@ -31,6 +29,10 @@ Campaigns (sharded + cached sweeps; see :mod:`repro.experiments`)::
     python -m repro campaign status                         # cache coverage
     python -m repro campaign report                         # render tables
 
+``campaign report`` renders Table 5 and Figures 2 and 4 from the stored
+results.  The repository benchmark lives in ``perfbench/`` (see
+``perfbench/README.md``).
+
 Traces (sources, formats, importers; see :mod:`repro.traces`)::
 
     python -m repro trace record gzip -o gzip.bt            # v2 binary
@@ -38,11 +40,6 @@ Traces (sources, formats, importers; see :mod:`repro.traces`)::
     python -m repro trace convert events.txt ext.bt         # import external
     python -m repro trace info gzip.bt
     python -m repro trace validate gzip.bt
-
-Micro-benchmarks (perf tracking + CI gating; see :mod:`repro.bench`)::
-
-    python -m repro bench run --scale smoke                 # BENCH_<rev>.json
-    python -m repro bench compare BENCH_baseline.json BENCH_abc1234.json
 
 Differential validation (oracle diffing + fuzzing; see
 :mod:`repro.validate` and docs/validation.md)::
@@ -88,32 +85,9 @@ from repro.harness import (
 from repro.harness.figure2 import BARS, BASELINE, figure2_series
 from repro.harness.figure4 import figure4_series
 from repro.harness.report import render_table
-from repro.harness.table5 import table5_row, table5_rows
-from repro.pipeline import simulate
-from repro.workloads import PROFILES, generate_trace, programs
-
-
-def _scale(args) -> ExperimentScale:
-    return ExperimentScale(
-        "cli", num_instructions=args.instructions, warmup=args.warmup
-    )
-
-
-def _add_scale_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "-n", "--instructions", type=int, default=30_000,
-        help="trace length (default 30000)",
-    )
-    parser.add_argument(
-        "-w", "--warmup", type=int, default=None,
-        help="warmup instructions excluded from stats (default n/2)",
-    )
-    parser.add_argument("--seed", type=int, default=17)
-
-
-def _resolve_warmup(args) -> None:
-    if args.warmup is None:
-        args.warmup = args.instructions // 2
+from repro.harness.table5 import table5_row
+from repro.pipeline import Processor
+from repro.workloads import PROFILES, programs
 
 
 def cmd_list(args) -> int:
@@ -278,7 +252,7 @@ def cmd_run(args) -> int:
         else:
             warmup = scale.warmup
         results = {
-            config.name: simulate(config, trace, warmup=warmup)
+            config.name: Processor(config).run(trace, warmup=warmup)
             for config in configs
         }
         baseline = next(iter(results.values()))
@@ -303,47 +277,6 @@ def cmd_run(args) -> int:
     return 0
 
 
-def cmd_compare(args) -> int:
-    _resolve_warmup(args)
-    rows = []
-    for name in args.benchmarks:
-        trace = generate_trace(name, args.instructions, seed=args.seed)
-        baseline = simulate(
-            resolve_config("conventional"), trace, warmup=args.warmup
-        )
-        nosq = simulate(resolve_config("nosq"), trace, warmup=args.warmup)
-        rows.append([
-            name, f"{baseline.ipc:.2f}", f"{nosq.ipc:.2f}",
-            f"{nosq.cycles / baseline.cycles:.3f}",
-            f"{nosq.pct_loads_bypassed:.1f}%",
-            f"{nosq.mispredicts_per_10k_loads:.1f}",
-            f"{nosq.total_dcache_reads / max(1, baseline.total_dcache_reads):.3f}",
-        ])
-    print(render_table(
-        ["benchmark", "SQ IPC", "NoSQ IPC", "NoSQ rel.time", "bypassed",
-         "mispred/10k", "D$ reads rel."],
-        rows,
-        title="NoSQ vs associative store queue",
-    ))
-    return 0
-
-
-def cmd_table5(args) -> int:
-    _resolve_warmup(args)
-    scale = _scale(args)
-    names = args.benchmarks or list(PROFILES)
-    print(render_table5(table5_rows(names, scale=scale, seed=args.seed)))
-    return 0
-
-
-def cmd_figure2(args) -> int:
-    _resolve_warmup(args)
-    scale = _scale(args)
-    names = args.benchmarks or list(PROFILES)
-    print(render_figure2(figure2_series(names, scale=scale, seed=args.seed)))
-    return 0
-
-
 def cmd_program(args) -> int:
     builders = {p.name: p for p in programs.all_programs()}
     if args.name not in builders:
@@ -355,7 +288,7 @@ def cmd_program(args) -> int:
     print(f"{program.name}: {program.description}")
     print(f"{len(result.trace)} dynamic instructions, halted={result.halted}")
     for config in resolve_configs("conventional,nosq"):
-        stats = simulate(config, result.trace)
+        stats = Processor(config).run(result.trace)
         print(
             f"  {config.name:14s} IPC {stats.ipc:.2f}  "
             f"bypassed {stats.bypassed_loads}  delayed {stats.delayed_loads}  "
@@ -529,68 +462,6 @@ def cmd_validate_shrink(args) -> int:
 
 
 # --------------------------------------------------------------------- #
-# Micro-benchmarks
-# --------------------------------------------------------------------- #
-
-
-def cmd_bench_run(args) -> int:
-    from repro.bench import BENCH_BENCHMARKS, render_report, run_bench
-    from repro.bench.harness import write_report
-
-    benchmarks = args.benchmarks or list(BENCH_BENCHMARKS)
-    unknown = [b for b in benchmarks if b not in PROFILES]
-    if unknown:
-        print(f"unknown benchmarks: {', '.join(unknown)}", file=sys.stderr)
-        return 2
-    progress = None if args.quiet else (lambda msg: print(f"[bench] {msg}"))
-    report = run_bench(
-        scale=args.scale, benchmarks=benchmarks, seed=args.seed,
-        repeat=args.repeat, progress=progress,
-    )
-    output = args.output or f"BENCH_{report['rev']}.json"
-    try:
-        write_report(report, output)
-    except OSError as exc:
-        print(f"cannot write {output}: {exc}", file=sys.stderr)
-        return 2
-    print(render_report(report))
-    print(f"report written to {output}")
-    return 0
-
-
-def cmd_bench_compare(args) -> int:
-    from repro.bench import compare_reports, load_report
-    from repro.bench.compare import render_comparison
-
-    try:
-        baseline = load_report(args.baseline)
-        candidate = load_report(args.candidate)
-        comparisons = compare_reports(
-            baseline, candidate, threshold=args.threshold
-        )
-    except (ValueError, OSError) as exc:
-        # Missing or corrupt report files are a usage error, not a
-        # traceback: exit 2 with one line, like `repro run`.
-        print(exc, file=sys.stderr)
-        return 2
-    print(render_comparison(
-        comparisons,
-        baseline_rev=baseline.get("rev", "?"),
-        candidate_rev=candidate.get("rev", "?"),
-    ))
-    regressions = [c for c in comparisons if c.regressed]
-    if regressions:
-        print(
-            f"{len(regressions)} metric(s) regressed by more than "
-            f"{100 * args.threshold:.0f}% vs the baseline",
-            file=sys.stderr,
-        )
-        return 1
-    print(f"no regressions beyond {100 * args.threshold:.0f}%")
-    return 0
-
-
-# --------------------------------------------------------------------- #
 # Traces
 # --------------------------------------------------------------------- #
 
@@ -641,16 +512,16 @@ def _save_by_format(trace, path: str, version: int | None) -> int:
 
 
 def cmd_trace_record(args) -> int:
-    from repro.isa.tracefile import TraceFormatError
     from repro.traces import resolve_source
 
-    scale = ExperimentScale("record", args.instructions, 0)
     try:
+        scale = ExperimentScale("record", args.instructions, 0)
         source = resolve_source(args.benchmark)
         trace = source.trace(scale, args.seed)
         output = args.output or f"{args.benchmark.replace(':', '_')}.bt"
         version = _save_by_format(trace, output, args.format)
-    except (KeyError, FileNotFoundError, TraceFormatError) as exc:
+    except (KeyError, ValueError, FileNotFoundError) as exc:
+        # ValueError covers TraceFormatError and a non-positive -n.
         print(exc, file=sys.stderr)
         return 2
     size = Path(output).stat().st_size
@@ -927,6 +798,9 @@ def cmd_campaign_status(args) -> int:
 def cmd_campaign_report(args) -> int:
     store = ResultStore(args.store)
     records = store.load()
+    if store.skipped:
+        print(f"note: skipped {store.skipped} unreadable line(s) in "
+              f"{args.store}", file=sys.stderr)
     if not records:
         print(f"no records in {args.store}", file=sys.stderr)
         return 1
@@ -1038,21 +912,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--seed", type=int, default=17)
     run.set_defaults(func=cmd_run)
-
-    compare = sub.add_parser("compare", help="NoSQ vs baseline on benchmarks")
-    compare.add_argument("benchmarks", nargs="+", choices=sorted(PROFILES))
-    _add_scale_args(compare)
-    compare.set_defaults(func=cmd_compare)
-
-    table5 = sub.add_parser("table5", help="regenerate Table 5 rows")
-    table5.add_argument("benchmarks", nargs="*", choices=sorted(PROFILES))
-    _add_scale_args(table5)
-    table5.set_defaults(func=cmd_table5)
-
-    figure2 = sub.add_parser("figure2", help="regenerate Figure 2 bars")
-    figure2.add_argument("benchmarks", nargs="*", choices=sorted(PROFILES))
-    _add_scale_args(figure2)
-    figure2.set_defaults(func=cmd_figure2)
 
     program = sub.add_parser("program", help="run a mini-ISA example program")
     program.add_argument("name")
@@ -1215,50 +1074,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="output path for the minimal repro (default <path>.min.bt)",
     )
     validate_shrink.set_defaults(func=cmd_validate_shrink)
-
-    bench = sub.add_parser(
-        "bench",
-        help="micro-benchmark the simulator's hot paths (repro.bench)",
-    )
-    bench_sub = bench.add_subparsers(dest="bench_command", required=True)
-
-    bench_run = bench_sub.add_parser(
-        "run", help="time the simulator + hot paths, emit BENCH_<rev>.json"
-    )
-    bench_run.add_argument(
-        "benchmarks", nargs="*", metavar="benchmark",
-        help="benchmarks for the end-to-end phase (default: bench set)",
-    )
-    bench_run.add_argument(
-        "--scale", choices=("smoke", "default", "full"), default="smoke",
-        help="named experiment scale (default smoke)",
-    )
-    bench_run.add_argument("--seed", type=int, default=17)
-    bench_run.add_argument(
-        "--repeat", type=int, default=3,
-        help="timing rounds per phase; best round is reported (default 3)",
-    )
-    bench_run.add_argument(
-        "-o", "--output", default=None,
-        help="report path (default BENCH_<rev>.json)",
-    )
-    bench_run.add_argument(
-        "-q", "--quiet", action="store_true",
-        help="suppress per-phase progress lines",
-    )
-    bench_run.set_defaults(func=cmd_bench_run)
-
-    bench_compare = bench_sub.add_parser(
-        "compare",
-        help="compare two reports; nonzero exit on regression",
-    )
-    bench_compare.add_argument("baseline", help="baseline BENCH_*.json")
-    bench_compare.add_argument("candidate", help="candidate BENCH_*.json")
-    bench_compare.add_argument(
-        "--threshold", type=float, default=0.20,
-        help="relative rate-drop that counts as a regression (default 0.20)",
-    )
-    bench_compare.set_defaults(func=cmd_bench_compare)
 
     campaign = sub.add_parser(
         "campaign",

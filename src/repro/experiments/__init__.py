@@ -30,7 +30,7 @@ Quick start::
     suite = result.suite_results()   # dict[benchmark -> BenchmarkResult]
 
 ``repro campaign run|status|report`` exposes the same engine on the
-command line, and :func:`repro.harness.runner.run_suite` is built on it.
+command line, and :func:`repro.api.sweep` is built on it.
 
 The cache-key contract
 ----------------------

@@ -9,8 +9,9 @@ processes; ``jobs=1`` runs inline in this process with identical results).
 Sharding unit: all of one benchmark's uncached configs at one seed form a
 *job group*, so the trace — the expensive shared input — is generated once
 per (benchmark, seed) and reused by every config in the group, exactly as
-the serial :func:`~repro.harness.runner.run_benchmark` path does.  Results
-are therefore bit-identical between serial, inline and multi-process runs.
+a plain serial ``Processor(config).run(trace)`` loop over the configs
+does.  Results are therefore bit-identical between serial, inline and
+multi-process runs.
 
 Every finished job is written to the cache immediately (inline mode) or as
 its group completes (pool mode), so interrupting a campaign loses at most
@@ -36,7 +37,6 @@ from repro.harness.runner import (
     BenchmarkResult,
     ExperimentScale,
     effective_warmup,
-    make_trace,
 )
 from repro.isa.trace import communication_stats
 from repro.pipeline.config import MachineConfig
@@ -83,7 +83,7 @@ class JobGroup:
     seed: int
     configs: tuple[MachineConfig, ...]
     keys: tuple[str, ...]
-    source: Any = None
+    source: Any
 
 
 @dataclass
@@ -136,10 +136,7 @@ def _make_record(
 def _iter_group_records(group: JobGroup):
     """Run a group's jobs on one shared trace, yielding ``(key, record)``
     as each finishes (so inline callers can persist per job)."""
-    if group.source is not None:
-        trace = group.source.trace(group.scale, group.seed)
-    else:
-        trace = make_trace(group.benchmark, group.scale, group.seed)
+    trace = group.source.trace(group.scale, group.seed)
     trace_stats = communication_stats(trace)
     # Intrinsic-length sources (trace:/extern: files) may be shorter than
     # the scale's warmup; clamp exactly as simulate()/repro run do, so

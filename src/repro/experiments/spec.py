@@ -12,9 +12,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
-from repro.harness.runner import DEFAULT, ExperimentScale, standard_configs
+from repro.harness.runner import DEFAULT, ExperimentScale
 from repro.pipeline.config import MachineConfig
 from repro.workloads.profiles import PROFILES
+
+
+def _config_set(name: str, window: int = 128) -> list[MachineConfig]:
+    # Imported lazily: repro.api builds on this package.
+    from repro.api.configs import config_set
+
+    return config_set(name, window)
 
 
 @dataclass(frozen=True)
@@ -54,11 +61,12 @@ class CampaignSpec:
     ``configs`` entries may be :class:`MachineConfig` objects or config
     spec strings (``nosq?backend.rob_size=256``, ``conventional@256``),
     resolved through the registry (:mod:`repro.api.configs`) — the config
-    axis is string-addressable exactly like the benchmark axis."""
+    axis is string-addressable exactly like the benchmark axis.  The
+    default is the ``standard`` config set."""
 
     benchmarks: Sequence[str]
     configs: Sequence[MachineConfig | str] = field(
-        default_factory=standard_configs
+        default_factory=lambda: _config_set("standard")
     )
     scale: ExperimentScale = DEFAULT
     seeds: Sequence[int] = (17,)
@@ -102,12 +110,6 @@ class CampaignSpec:
         names = [c.name for c in self.configs]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate config names: {names}")
-        if not 0 <= self.scale.warmup < self.scale.num_instructions:
-            raise ValueError(
-                f"warmup ({self.scale.warmup}) must be in "
-                f"[0, {self.scale.num_instructions}) — nothing would be "
-                "measured"
-            )
 
     @property
     def num_jobs(self) -> int:
@@ -138,7 +140,7 @@ class CampaignSpec:
             benchmarks=(
                 list(benchmarks) if benchmarks is not None else list(PROFILES)
             ),
-            configs=standard_configs(window),
+            configs=_config_set("standard", window),
             scale=scale,
             seeds=seeds,
             name=name,

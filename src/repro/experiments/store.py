@@ -27,6 +27,8 @@ class ResultStore:
 
     def __init__(self, path: str | os.PathLike[str]) -> None:
         self.path = Path(path)
+        #: Unreadable lines the last :meth:`load` skipped.
+        self.skipped = 0
 
     def append(self, record: dict[str, Any]) -> None:
         self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -34,7 +36,11 @@ class ResultStore:
             handle.write(json.dumps(record, sort_keys=True) + "\n")
 
     def load(self) -> list[dict[str, Any]]:
-        """All valid records in file order (bad lines are skipped)."""
+        """All valid records in file order.
+
+        Lines that are not JSON job records (say, one truncated by an
+        interrupted write) are skipped and counted in :attr:`skipped`."""
+        self.skipped = 0
         if not self.path.is_file():
             return []
         records = []
@@ -46,9 +52,11 @@ class ResultStore:
                 try:
                     record = json.loads(line)
                 except ValueError:
-                    continue
+                    record = None
                 if isinstance(record, dict) and "run_stats" in record:
                     records.append(record)
+                else:
+                    self.skipped += 1
         return records
 
     def __len__(self) -> int:

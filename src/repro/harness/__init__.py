@@ -1,6 +1,6 @@
 """Experiment harness: regenerates every table and figure of the paper.
 
-* :mod:`repro.harness.runner` -- benchmark x configuration sweep machinery
+* :mod:`repro.harness.runner` -- experiment scales and per-benchmark results
 * :mod:`repro.harness.table5` -- Table 5 (communication & prediction accuracy)
 * :mod:`repro.harness.figure2` -- Figure 2 (performance, 128-entry window)
 * :mod:`repro.harness.figure3` -- Figure 3 (performance, 256-entry window)
@@ -12,10 +12,11 @@ Every experiment accepts an :class:`ExperimentScale`; the default
 ``SMOKE`` scale finishes in seconds per benchmark, while ``FULL`` matches
 what EXPERIMENTS.md records.
 
-All sweeps execute through the campaign engine (:mod:`repro.experiments`):
-pass ``jobs=N`` to shard a sweep over N worker processes and ``cache=`` (a
-directory path or :class:`~repro.experiments.ResultCache`) to memoize
-results on disk — identical numbers either way.
+All sweeps execute through :func:`repro.api.sweep` (the campaign
+engine, :mod:`repro.experiments`): pass ``jobs=N`` to shard a sweep over
+N worker processes and ``cache=`` (a directory path or
+:class:`~repro.experiments.ResultCache`) to memoize results on disk —
+identical numbers either way.
 """
 
 from repro.harness.runner import (
@@ -24,9 +25,6 @@ from repro.harness.runner import (
     DEFAULT,
     FULL,
     BenchmarkResult,
-    run_benchmark,
-    run_suite,
-    standard_configs,
     geomean,
 )
 from repro.harness.table5 import table5_rows, render_table5
@@ -45,9 +43,6 @@ __all__ = [
     "DEFAULT",
     "FULL",
     "BenchmarkResult",
-    "run_benchmark",
-    "run_suite",
-    "standard_configs",
     "geomean",
     "table5_rows",
     "render_table5",

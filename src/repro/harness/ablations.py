@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from repro.harness.report import render_table
-from repro.harness.runner import DEFAULT, ExperimentScale, run_suite
+from repro.harness.runner import DEFAULT, ExperimentScale
 from repro.pipeline.config import MachineConfig
 
 
@@ -56,8 +56,11 @@ def _run(
     jobs: int = 1,
     cache=None,
 ) -> list[AblationPoint]:
-    results = run_suite(list(benchmarks), list(variants), scale=scale,
-                        seed=seed, jobs=jobs, cache=cache)
+    # Imported lazily: repro.api builds on the harness.
+    from repro.api import sweep
+
+    results = sweep(variants, benchmarks, scale, seeds=(seed,), jobs=jobs,
+                    cache=cache).results()
     points = []
     for name in benchmarks:
         point = AblationPoint(name=name)

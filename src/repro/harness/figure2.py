@@ -23,8 +23,6 @@ from repro.harness.runner import (
     BenchmarkResult,
     ExperimentScale,
     geomean,
-    run_suite,
-    standard_configs,
 )
 from repro.harness.report import render_table
 from repro.workloads.profiles import PROFILES
@@ -56,8 +54,11 @@ def figure2_series(
     """Compute the Figure 2 series (or Figure 3's, with ``window=256``)."""
     names = list(benchmarks) if benchmarks is not None else list(PROFILES)
     if results is None:
-        results = run_suite(names, standard_configs(window), scale=scale,
-                            seed=seed, jobs=jobs, cache=cache)
+        # Imported lazily: repro.api builds on the harness.
+        from repro.api import sweep
+
+        results = sweep("standard", names, scale, seeds=(seed,), jobs=jobs,
+                        cache=cache, window=window).results()
     suffix = "" if window == 128 else "-w256"
     points = []
     for name in names:

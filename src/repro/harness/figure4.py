@@ -18,10 +18,8 @@ from repro.harness.runner import (
     BenchmarkResult,
     ExperimentScale,
     amean,
-    run_suite,
 )
 from repro.harness.report import render_table
-from repro.pipeline.config import MachineConfig
 from repro.workloads.profiles import PROFILES, SELECTED_BENCHMARKS
 
 
@@ -40,14 +38,6 @@ class Figure4Point:
         return self.ooo_relative + self.backend_relative
 
 
-def figure4_configs() -> list[MachineConfig]:
-    """Baseline vs NoSQ-with-delay (registry set ``figure4``)."""
-    # Imported lazily: repro.api builds on the harness.
-    from repro.api.configs import config_set
-
-    return config_set("figure4")
-
-
 def figure4_series(
     benchmarks: Sequence[str] | None = None,
     scale: ExperimentScale = DEFAULT,
@@ -58,8 +48,11 @@ def figure4_series(
 ) -> list[Figure4Point]:
     names = list(benchmarks) if benchmarks is not None else SELECTED_BENCHMARKS
     if results is None:
-        results = run_suite(names, figure4_configs(), scale=scale, seed=seed,
-                            jobs=jobs, cache=cache)
+        # Imported lazily: repro.api builds on the harness.
+        from repro.api import sweep
+
+        results = sweep("figure4", names, scale, seeds=(seed,), jobs=jobs,
+                        cache=cache).results()
     points = []
     for name in names:
         result = results[name]

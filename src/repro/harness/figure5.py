@@ -24,7 +24,6 @@ from repro.harness.runner import (
     DEFAULT,
     ExperimentScale,
     geomean,
-    run_suite,
 )
 from repro.harness.report import render_table
 from repro.pipeline.config import MachineConfig
@@ -65,14 +64,10 @@ def _sweep(
     cache=None,
 ) -> list[SweepPoint]:
     # Imported lazily: repro.api builds on the harness.
-    from repro.api.configs import resolve_config
+    from repro.api import sweep
 
-    configs = [
-        resolve_config("conventional-perfect"),
-        *variants,
-    ]
-    results = run_suite(list(benchmarks), configs, scale=scale, seed=seed,
-                        jobs=jobs, cache=cache)
+    results = sweep(["conventional-perfect", *variants], benchmarks, scale,
+                    seeds=(seed,), jobs=jobs, cache=cache).results()
     points = []
     for name in benchmarks:
         result = results[name]

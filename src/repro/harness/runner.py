@@ -1,20 +1,19 @@
-"""Benchmark x configuration sweep machinery.
+"""Experiment scales and per-benchmark results.
 
-A :class:`BenchmarkResult` bundles the trace-level ground truth with the
-:class:`~repro.pipeline.stats.RunStats` of each simulated configuration;
-the per-table/figure modules turn collections of results into the paper's
-rows and series.
+An :class:`ExperimentScale` sets how much work each simulated benchmark
+does.  A :class:`BenchmarkResult` bundles the trace-level ground truth
+with the :class:`~repro.pipeline.stats.RunStats` of each simulated
+configuration; the per-table/figure modules turn collections of results
+(from :func:`repro.api.sweep`) into the paper's rows and series.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Iterable
 
-from repro.isa.trace import DynInst, TraceStats, communication_stats
-from repro.pipeline.config import MachineConfig
-from repro.pipeline.processor import Processor
+from repro.isa.trace import TraceStats
 from repro.pipeline.stats import RunStats
 
 
@@ -31,6 +30,13 @@ class ExperimentScale:
     name: str
     num_instructions: int
     warmup: int
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.warmup < self.num_instructions:
+            raise ValueError(
+                f"warmup ({self.warmup}) must be in "
+                f"[0, {self.num_instructions}) — nothing would be measured"
+            )
 
     @property
     def measured(self) -> int:
@@ -92,88 +98,3 @@ def amean(values: Iterable[float]) -> float:
     if not values:
         return float("nan")
     return sum(values) / len(values)
-
-
-def make_trace(name: str, scale: ExperimentScale, seed: int = 17) -> list[DynInst]:
-    """Produce the annotated trace for benchmark id *name* at *scale*.
-
-    *name* resolves through the trace-source layer
-    (:func:`repro.traces.resolve_source`): synthetic profiles take the
-    historical generator path bit-identically, while ``zoo.*`` families,
-    ``trace:<path>`` files and ``extern:<path>`` imports load through
-    their sources.
-    """
-    # Imported lazily: repro.traces builds on this module's scales.
-    from repro.traces import resolve_source
-
-    return resolve_source(name).trace(scale, seed)
-
-
-def run_benchmark(
-    name: str,
-    configs: Sequence[MachineConfig],
-    scale: ExperimentScale = DEFAULT,
-    seed: int = 17,
-    trace: list[DynInst] | None = None,
-) -> BenchmarkResult:
-    """Run *name* through every configuration on one shared trace."""
-    if trace is None:
-        trace = make_trace(name, scale, seed)
-    result = BenchmarkResult(
-        name=name,
-        scale=scale,
-        trace_stats=communication_stats(trace),
-    )
-    warmup = effective_warmup(scale, len(trace))
-    for config in configs:
-        stats = Processor(config).run(trace, warmup=warmup)
-        result.runs[config.name] = stats
-    return result
-
-
-def run_suite(
-    benchmarks: Sequence[str],
-    configs: Sequence[MachineConfig],
-    scale: ExperimentScale = DEFAULT,
-    seed: int = 17,
-    progress: Callable[[str], None] | None = None,
-    jobs: int = 1,
-    cache=None,
-) -> dict[str, BenchmarkResult]:
-    """Run a list of benchmarks through a list of configurations.
-
-    Built on the campaign engine (:mod:`repro.experiments`): each
-    benchmark's trace is generated once and shared across all of its
-    configurations, ``jobs`` shards the benchmarks over that many worker
-    processes, and ``cache`` (a :class:`~repro.experiments.ResultCache` or
-    directory path) makes repeated sweeps instant.  Results are
-    bit-identical for any ``jobs``/``cache`` combination.
-    """
-    # Imported lazily: repro.experiments builds on this module.
-    from repro.experiments import CampaignSpec, run_campaign
-
-    spec = CampaignSpec(
-        benchmarks=list(benchmarks), configs=list(configs),
-        scale=scale, seeds=(seed,), name="suite",
-    )
-    on_event = None
-    if progress is not None:
-        def on_event(event):
-            if event.kind == "start":
-                progress(event.benchmark)
-    campaign = run_campaign(spec, jobs=jobs, cache=cache, progress=on_event)
-    return campaign.suite_results(seed)
-
-
-def standard_configs(window: int = 128) -> list[MachineConfig]:
-    """The four configurations of Figures 2 and 3, plus the normalization
-    baseline (associative SQ + perfect scheduling).
-
-    Thin shim over the config registry (:mod:`repro.api.configs`), which
-    is the source of truth for named configurations; kept for the
-    historical import path.
-    """
-    # Imported lazily: repro.api builds on this module.
-    from repro.api.configs import config_set
-
-    return config_set("standard", window=window)

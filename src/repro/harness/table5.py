@@ -22,11 +22,8 @@ from repro.harness.runner import (
     BenchmarkResult,
     ExperimentScale,
     amean,
-    run_benchmark,
-    run_suite,
 )
 from repro.harness.report import render_table
-from repro.pipeline.config import MachineConfig
 from repro.workloads.profiles import PROFILES, BenchmarkProfile
 
 
@@ -48,24 +45,10 @@ class Table5Row:
     meas_delayed_pct: float
 
 
-def table5_configs() -> list[MachineConfig]:
-    """The two NoSQ variants Table 5 measures (registry set ``table5``)."""
-    # Imported lazily: repro.api builds on the harness.
-    from repro.api.configs import config_set
-
-    return config_set("table5")
-
-
-def table5_row(
-    name: str,
-    scale: ExperimentScale = DEFAULT,
-    seed: int = 17,
-    result: BenchmarkResult | None = None,
-) -> Table5Row:
-    """Compute one benchmark's Table 5 row."""
+def table5_row(name: str, result: BenchmarkResult) -> Table5Row:
+    """One benchmark's Table 5 row from its simulated *result* (which must
+    hold the ``table5`` config set's runs)."""
     profile: BenchmarkProfile = PROFILES[name]
-    if result is None:
-        result = run_benchmark(name, table5_configs(), scale=scale, seed=seed)
     nodelay = result.runs["nosq-nodelay"]
     delay = result.runs["nosq-delay"]
     return Table5Row(
@@ -92,13 +75,13 @@ def table5_rows(
     cache=None,
 ) -> list[Table5Row]:
     """Compute Table 5 for *benchmarks* (default: all 47)."""
+    # Imported lazily: repro.api builds on the harness.
+    from repro.api import sweep
+
     names = list(benchmarks) if benchmarks is not None else list(PROFILES)
-    results = run_suite(names, table5_configs(), scale=scale, seed=seed,
-                        jobs=jobs, cache=cache)
-    return [
-        table5_row(name, scale=scale, seed=seed, result=results[name])
-        for name in names
-    ]
+    results = sweep("table5", names, scale, seeds=(seed,), jobs=jobs,
+                    cache=cache).results()
+    return [table5_row(name, result=results[name]) for name in names]
 
 
 def suite_averages(rows: Sequence[Table5Row]) -> list[Table5Row]:

@@ -13,7 +13,7 @@ from repro.pipeline.config import (
     SchedulerKind,
 )
 from repro.pipeline.stats import RunStats
-from repro.pipeline.processor import Processor, simulate
+from repro.pipeline.processor import Processor
 
 __all__ = [
     "BypassKind",
@@ -22,5 +22,4 @@ __all__ = [
     "SchedulerKind",
     "RunStats",
     "Processor",
-    "simulate",
 ]

@@ -407,11 +407,8 @@ class Processor:
         commit stage, after the data-cache write stage).
         """
         pending = self._pending_commits
-        srq = self.srq
-        srq_entries = srq._entries
         while pending and pending[0][0] <= cycle:
             _, ssn, _store_seq = pending.popleft()
-            # srq.retire inlined.
             if self.ssn_commit >= self.ssn_rename:
                 raise SimulationError("SSNcommit would pass SSNrename")
             self.ssn_commit += 1
@@ -419,10 +416,7 @@ class Processor:
                 raise SimulationError(
                     f"store commit SSN mismatch: {self.ssn_commit} != {ssn}"
                 )
-            slot = ssn % srq.capacity
-            entry = srq_entries.get(slot)
-            if entry is not None and entry.ssn == ssn:
-                del srq_entries[slot]
+            self.srq.retire(ssn)
 
     # ------------------------------------------------------------------ #
     # Dispatch (fetch / decode / rename)
@@ -891,10 +885,8 @@ class Processor:
             self._setup_nonbypassing_load(entry)
             return
 
-        # srq.lookup inlined (runs once per predicted in-flight bypass).
-        srq = self.srq
-        srq_entry = srq._entries.get(ssn_byp % srq.capacity)
-        if srq_entry is None or srq_entry.ssn != ssn_byp:
+        srq_entry = self.srq.lookup(ssn_byp)
+        if srq_entry is None:
             raise SimulationError(f"in-flight SSN {ssn_byp} missing from SRQ")
 
         if self.config.delay_enabled and not pred.confident:
@@ -1041,18 +1033,7 @@ class Processor:
             # the parallel cache probe still happens (and may fetch the
             # line) but its miss is not on the value path.
             latency = self._l1_latency
-        # tlb.access's hit path inlined (one probe per scheduled load).
-        tlb = self.tlb
-        addr = inst.addr
-        vpn = addr >> tlb._page_shift
-        tlb_set = tlb._sets[vpn & (tlb.num_sets - 1)]
-        tag = vpn >> (tlb.num_sets.bit_length() - 1)
-        if tag in tlb_set:
-            tlb_set.pop(tag)
-            tlb_set[tag] = None
-            tlb.stats.hits += 1
-        else:
-            latency += tlb.access(addr)
+        latency += self.tlb.access(inst.addr)
         entry.dcache_read_cycle = issue + self._l1_latency
         entry.complete_cycle = issue + latency
         self.stats.ooo_dcache_reads += 1
@@ -1689,10 +1670,3 @@ class _BarrierRaiser:
             self.processor._dispatch_barrier,
             self.branch.complete_cycle + self.processor.config.frontend_depth,
         )
-
-
-def simulate(
-    config: MachineConfig, trace: list[DynInst], warmup: int = 0
-) -> RunStats:
-    """Convenience wrapper: build a processor, run *trace*, return stats."""
-    return Processor(config).run(trace, warmup=warmup)

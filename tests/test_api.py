@@ -35,7 +35,6 @@ from repro.api import (
     resolve_configs,
     resolve_scale,
     simulate,
-    standard_configs,
     sweep,
     unregister_component,
     unregister_config,
@@ -101,25 +100,20 @@ class TestPresetIdentity:
         assert "hierarchy_impl" not in data
 
     def test_standard_configs_shim(self):
-        configs = standard_configs()
+        configs = config_set("standard")
         assert [c.name for c in configs] == [
             "sq-perfect", "sq-storesets", "nosq-nodelay", "nosq-delay",
             "nosq-perfect",
         ]
-        from repro.harness.runner import standard_configs as legacy
-
-        assert legacy() == configs
-        assert legacy(window=256) == standard_configs(window=256)
+        assert [c.name for c in config_set("standard", window=256)] == [
+            f"{c.name}-w256" for c in configs
+        ]
 
     def test_harness_config_sets(self):
-        from repro.harness.figure4 import figure4_configs
-        from repro.harness.table5 import table5_configs
-
-        assert [c.name for c in table5_configs()] == \
+        assert [c.name for c in config_set("table5")] == \
             ["nosq-nodelay", "nosq-delay"]
-        assert [c.name for c in figure4_configs()] == \
+        assert [c.name for c in config_set("figure4")] == \
             ["sq-storesets", "nosq-delay"]
-        assert table5_configs() == config_set("table5")
 
 
 # --------------------------------------------------------------------- #
@@ -249,11 +243,11 @@ class TestSpecLists:
 
     def test_set_expansion_with_window(self):
         assert resolve_configs("standard", window=256) == \
-            standard_configs(window=256)
+            config_set("standard", window=256)
 
     def test_set_with_window_suffix(self):
         assert resolve_configs("standard@256") == \
-            standard_configs(window=256)
+            config_set("standard", window=256)
         assert [c.name for c in resolve_configs("table5?rob_size=96")] == [
             "nosq-nodelay?rob_size=96", "nosq-delay?rob_size=96",
         ]
@@ -575,6 +569,14 @@ class TestSimulate:
     def test_unknown_scale(self):
         with pytest.raises(ConfigSpecError, match="unknown scale"):
             resolve_scale("smokey")
+
+    @pytest.mark.parametrize("length", [0, -5])
+    def test_rejects_nonpositive_scale(self, length):
+        # The same check, and message, as sweep() and campaign run.
+        with pytest.raises(ValueError, match="nothing would be measured"):
+            simulate("nosq", "gzip", length)
+        with pytest.raises(ValueError, match="nothing would be measured"):
+            sweep("nosq", "gzip", length)
 
     def test_rejects_unusable_source(self):
         with pytest.raises(TypeError, match="cannot produce a trace"):

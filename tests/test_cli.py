@@ -39,17 +39,27 @@ class TestCommands:
         assert "mispred/10k" in out
 
     def test_compare(self, capsys):
-        assert main(["compare", "applu", "adpcm.d", "-n", "3000"]) == 0
+        # `repro run <configs> <benchmarks>` is the NoSQ-vs-SQ comparison.
+        assert main(["run", "conventional", "nosq", "applu", "adpcm.d",
+                     "-n", "3000"]) == 0
         out = capsys.readouterr().out
-        assert "adpcm.d" in out and "D$ reads rel." in out
+        assert "adpcm.d" in out and "applu" in out
+        assert "sq-storesets" in out and "nosq-delay" in out
 
-    def test_table5_subset(self, capsys):
-        assert main(["table5", "applu", "-n", "3000"]) == 0
+    def _campaign_report(self, tmp_path, *configs):
+        store = str(tmp_path / "store.jsonl")
+        assert main(["campaign", "run", "applu", "-n", "3000", "--quiet",
+                     "--cache-dir", str(tmp_path / "cache"),
+                     "--store", store, *configs]) == 0
+        assert main(["campaign", "report", "--store", store]) == 0
+
+    def test_table5_subset(self, capsys, tmp_path):
+        self._campaign_report(tmp_path, "--configs", "table5")
         out = capsys.readouterr().out
         assert "applu" in out and "comm%" in out
 
-    def test_figure2_subset(self, capsys):
-        assert main(["figure2", "applu", "-n", "3000"]) == 0
+    def test_figure2_subset(self, capsys, tmp_path):
+        self._campaign_report(tmp_path)
         out = capsys.readouterr().out
         assert "nosq-delay (rel)" in out
 
@@ -94,6 +104,13 @@ class TestCommands:
                      "-n", "2000"]) == 2
         err = capsys.readouterr().err
         assert "rob_size must be at least 1" in err
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("length", ["0", "-5"])
+    def test_run_nonpositive_length_exits_2(self, capsys, length):
+        assert main(["run", "gzip", "-n", length]) == 2
+        err = capsys.readouterr().err
+        assert "nothing would be measured" in err
         assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
     def test_run_trace_file_clamps_default_warmup(self, capsys, tmp_path):
@@ -259,21 +276,3 @@ class TestValidateCLI:
         assert "svw-completeness" in out
         assert "forwarding-correctness" in out
 
-
-class TestBenchErrorPaths:
-    def test_compare_missing_report_exits_2(self, capsys, tmp_path):
-        assert main(["bench", "compare", f"{tmp_path}/a.json",
-                     f"{tmp_path}/b.json"]) == 2
-        assert "not a readable bench report" in capsys.readouterr().err
-
-    def test_compare_corrupt_report_exits_2(self, capsys, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{truncated")
-        assert main(["bench", "compare", str(bad), str(bad)]) == 2
-        assert "not a readable bench report" in capsys.readouterr().err
-
-    def test_run_unwritable_output_exits_2(self, capsys, tmp_path):
-        target = tmp_path / "no" / "such" / "dir" / "out.json"
-        assert main(["bench", "run", "gzip", "--scale", "smoke",
-                     "--repeat", "1", "-o", str(target), "-q"]) == 2
-        assert "cannot write" in capsys.readouterr().err

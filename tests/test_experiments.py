@@ -1,8 +1,9 @@
 """Tests for the campaign engine (spec, cache, scheduler, store, CLI).
 
-The contract under test: campaigns are *bit-identical* to the serial
-:func:`run_benchmark` path for any jobs/cache combination, cache hits run
-zero simulations, changed inputs miss, and interrupted campaigns resume.
+The contract under test: campaigns are *bit-identical* to a plain serial
+``Processor(config).run(trace)`` loop for any jobs/cache combination, cache
+hits run zero simulations, changed inputs miss, and interrupted campaigns
+resume.
 """
 
 from __future__ import annotations
@@ -23,13 +24,12 @@ from repro.experiments import (
     plan_campaign,
     run_campaign,
 )
-from repro.harness.runner import (
-    ExperimentScale,
-    run_benchmark,
-    run_suite,
-)
+from repro.api import simulate, sweep
+from repro.harness.runner import BenchmarkResult, ExperimentScale
+from repro.isa.trace import communication_stats
 from repro.pipeline.config import MachineConfig
 from repro.pipeline.processor import Processor
+from repro.traces import resolve_source
 
 TINY = ExperimentScale("tiny", num_instructions=2_500, warmup=1_000)
 BENCHMARKS = ["gzip", "applu"]
@@ -62,11 +62,21 @@ def run_counter(monkeypatch):
     return calls
 
 
-def serial_reference():
-    return {
-        name: run_benchmark(name, tiny_configs(), scale=TINY, seed=17)
-        for name in BENCHMARKS
-    }
+def serial_reference() -> dict[str, BenchmarkResult]:
+    """The serial reference every campaign must match bit for bit: one
+    trace per benchmark, one ``Processor.run`` per config."""
+    reference = {}
+    for name in BENCHMARKS:
+        trace = resolve_source(name).trace(TINY, 17)
+        result = BenchmarkResult(
+            name=name, scale=TINY, trace_stats=communication_stats(trace)
+        )
+        for config in tiny_configs():
+            result.runs[config.name] = Processor(config).run(
+                trace, warmup=TINY.warmup
+            )
+        reference[name] = result
+    return reference
 
 
 class TestJobKey:
@@ -124,8 +134,8 @@ class TestParallelEqualsSerial:
 
     def test_run_suite_matches_cached_rerun(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
-        first = run_suite(BENCHMARKS, tiny_configs(), scale=TINY, cache=cache)
-        second = run_suite(BENCHMARKS, tiny_configs(), scale=TINY, cache=cache)
+        first = sweep(tiny_configs(), BENCHMARKS, TINY, cache=cache).results()
+        second = sweep(tiny_configs(), BENCHMARKS, TINY, cache=cache).results()
         assert {n: r.runs for n, r in first.items()} == {
             n: r.runs for n, r in second.items()
         }
@@ -233,6 +243,7 @@ class TestStore:
         run_campaign(tiny_spec(), store=store)   # duplicates every record
         records = store.load()
         assert len(records) == 8
+        assert store.skipped == 1
         results = collect_results(records)
         assert set(results) == set(BENCHMARKS)
 
@@ -277,8 +288,9 @@ class TestPlan:
             tiny_spec(seeds=(17, 17))
 
     def test_rejects_all_warmup_scale(self):
-        drained = ExperimentScale("bad", num_instructions=1_000, warmup=1_000)
         with pytest.raises(ValueError, match="warmup"):
+            drained = ExperimentScale("bad", num_instructions=1_000,
+                                      warmup=1_000)
             tiny_spec(scale=drained)
 
     def test_rejects_bad_jobs(self):
@@ -320,6 +332,23 @@ class TestCampaignCli:
         assert main(["campaign", "report"]) == 0
         out = capsys.readouterr().out
         assert "Figure 4" in out and "gzip" in out
+
+    def test_report_notes_skipped_lines(self, capsys, tmp_path):
+        assert main(self.run_args("--quiet")) == 0
+        capsys.readouterr()
+        assert main(["campaign", "report"]) == 0
+        clean = capsys.readouterr()
+        assert clean.err == ""
+
+        path = "results/campaign.jsonl"
+        with open(path, "a") as handle:
+            handle.write('{"benchmark": "gzip", "trunc\n')
+        assert main(["campaign", "report"]) == 0
+        noted = capsys.readouterr()
+        assert noted.out == clean.out
+        assert noted.err == (
+            f"note: skipped 1 unreadable line(s) in {path}\n"
+        )
 
     def test_report_without_store(self, capsys):
         assert main(["campaign", "report"]) == 1
@@ -397,14 +426,11 @@ class TestCodec:
 
 class TestDeterminism:
     def test_run_benchmark_reuses_supplied_trace(self):
-        from repro.harness.runner import make_trace
-
-        trace = make_trace("gzip", TINY, seed=17)
-        direct = run_benchmark(
-            "gzip", tiny_configs(), scale=TINY, seed=17, trace=trace
-        )
-        regenerated = run_benchmark("gzip", tiny_configs(), scale=TINY, seed=17)
-        assert direct.runs == regenerated.runs
+        trace = resolve_source("gzip").trace(TINY, 17)
+        for config in tiny_configs():
+            direct = simulate(config, trace, TINY)
+            regenerated = simulate(config, "gzip", TINY, seed=17)
+            assert direct.stats == regenerated.stats
 
     def test_seed_flows_through_campaign(self):
         a = run_campaign(tiny_spec(seeds=(3,))).records

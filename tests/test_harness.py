@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.api import sweep
 from repro.harness import (
     ExperimentScale,
     figure2_series,
@@ -17,12 +18,11 @@ from repro.harness import (
     render_figure4,
     render_figure5,
     render_table5,
-    run_benchmark,
     table5_rows,
 )
 from repro.harness.figure2 import BARS, suite_geomeans
 from repro.harness.report import render_table
-from repro.harness.runner import amean, standard_configs
+from repro.harness.runner import amean
 from repro.pipeline.config import MachineConfig
 
 TINY = ExperimentScale("tiny", num_instructions=4_000, warmup=1_500)
@@ -30,18 +30,17 @@ TINY = ExperimentScale("tiny", num_instructions=4_000, warmup=1_500)
 
 class TestRunner:
     def test_run_benchmark_collects_all_configs(self):
-        result = run_benchmark("applu", standard_configs(), scale=TINY)
+        result = sweep("standard", "applu", TINY).results()["applu"]
         assert set(result.runs) == {
             "sq-perfect", "sq-storesets", "nosq-nodelay",
             "nosq-delay", "nosq-perfect",
         }
 
     def test_relative_time(self):
-        result = run_benchmark(
-            "applu",
+        result = sweep(
             [MachineConfig.conventional(), MachineConfig.nosq()],
-            scale=TINY,
-        )
+            "applu", TINY,
+        ).results()["applu"]
         rel = result.relative_time("nosq-delay", "sq-storesets")
         assert 0.5 < rel < 2.0
 

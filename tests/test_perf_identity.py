@@ -21,8 +21,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.harness.runner import ExperimentScale, make_trace, standard_configs
+from repro.api import config_set
+from repro.harness.runner import ExperimentScale
 from repro.pipeline.processor import Processor
+from repro.traces import resolve_source
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_tiny_stats.json"
 
@@ -41,9 +43,9 @@ def regenerate(path: Path = GOLDEN_PATH) -> None:
     )
     stats_out = {}
     for bench in golden["stats"]:
-        trace = make_trace(bench, scale, golden["seed"])
+        trace = resolve_source(bench).trace(scale, golden["seed"])
         stats_out[bench] = {}
-        for config in standard_configs():
+        for config in config_set("standard"):
             stats = Processor(config).run(trace, warmup=scale.warmup)
             stats_out[bench][config.name] = {
                 k: v for k, v in vars(stats).items()
@@ -64,8 +66,8 @@ SCALE = ExperimentScale(
 @pytest.mark.parametrize("bench_name", sorted(GOLDEN["stats"]))
 def test_optimized_processor_matches_seed_stats(bench_name):
     expected_by_config = GOLDEN["stats"][bench_name]
-    trace = make_trace(bench_name, SCALE, GOLDEN["seed"])
-    for config in standard_configs():
+    trace = resolve_source(bench_name).trace(SCALE, GOLDEN["seed"])
+    for config in config_set("standard"):
         stats = Processor(config).run(trace, warmup=SCALE.warmup)
         got = {
             k: v for k, v in vars(stats).items()
@@ -84,7 +86,7 @@ def test_optimized_processor_matches_seed_stats(bench_name):
 
 
 def test_golden_covers_all_standard_configs():
-    config_names = {c.name for c in standard_configs()}
+    config_names = {c.name for c in config_set("standard")}
     for benchmark, per_config in GOLDEN["stats"].items():
         assert set(per_config) == config_names, benchmark
 
@@ -98,7 +100,7 @@ def test_ssn_wrap_runs_match_seed_stats(bench_name):
     from repro.pipeline.config import MachineConfig
 
     expected_by_config = GOLDEN["wrap_stats"][bench_name]
-    trace = make_trace(bench_name, SCALE, GOLDEN["seed"])
+    trace = resolve_source(bench_name).trace(SCALE, GOLDEN["seed"])
     for name, expected in expected_by_config.items():
         delay = "-nodelay" not in name
         config = dataclasses.replace(

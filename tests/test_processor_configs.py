@@ -2,26 +2,29 @@
 
 import pytest
 
-from repro.harness.runner import ExperimentScale, make_trace, standard_configs
+from repro.api import config_set
+from repro.harness.runner import ExperimentScale
 from repro.isa.instructions import NUM_ARCH_REGS
-from repro.pipeline import MachineConfig, Processor, simulate
+from repro.pipeline import MachineConfig, Processor
+from repro.traces import resolve_source
 
 TINY = ExperimentScale("tiny", num_instructions=5_000, warmup=2_000)
 
 
 @pytest.fixture(scope="module")
 def gzip_trace():
-    return make_trace("gzip", TINY)
+    return resolve_source("gzip").trace(TINY, 17)
 
 
 class TestAllConfigurations:
     @pytest.mark.parametrize(
-        "config", standard_configs(), ids=lambda c: c.name
+        "config", config_set("standard"), ids=lambda c: c.name
     )
     def test_runs_to_completion(self, gzip_trace, config):
         import dataclasses
-        stats = simulate(dataclasses.replace(config), gzip_trace,
-                         warmup=TINY.warmup)
+        stats = Processor(dataclasses.replace(config)).run(
+            gzip_trace, warmup=TINY.warmup
+        )
         assert stats.instructions == len(gzip_trace) - TINY.warmup
         assert 0.1 < stats.ipc <= 4.0
 
@@ -30,7 +33,7 @@ class TestAllConfigurations:
             MachineConfig.conventional(perfect_scheduling=True),
             MachineConfig.nosq(perfect=True),
         ):
-            stats = simulate(config, gzip_trace)
+            stats = Processor(config).run(gzip_trace)
             assert stats.flushes == 0, config.name
 
     def test_perfect_smb_near_or_above_real_nosq(self, gzip_trace):
@@ -38,33 +41,33 @@ class TestAllConfigurations:
         predictor.  (It is not a strict bound: the oracle's idealized delay
         of multi-source loads can cost more than the real machine's cheap
         flush-and-retry on short traces.)"""
-        perfect = simulate(MachineConfig.nosq(perfect=True), gzip_trace,
-                           warmup=TINY.warmup)
-        real = simulate(MachineConfig.nosq(), gzip_trace, warmup=TINY.warmup)
+        perfect = Processor(MachineConfig.nosq(perfect=True)).run(
+            gzip_trace, warmup=TINY.warmup
+        )
+        real = Processor(MachineConfig.nosq()).run(gzip_trace, warmup=TINY.warmup)
         assert perfect.cycles <= real.cycles * 1.08
 
     def test_nosq_reduces_cache_reads(self, gzip_trace):
-        baseline = simulate(MachineConfig.conventional(), gzip_trace,
-                            warmup=TINY.warmup)
-        nosq = simulate(MachineConfig.nosq(), gzip_trace, warmup=TINY.warmup)
+        baseline = Processor(MachineConfig.conventional()).run(
+            gzip_trace, warmup=TINY.warmup
+        )
+        nosq = Processor(MachineConfig.nosq()).run(gzip_trace, warmup=TINY.warmup)
         assert nosq.total_dcache_reads < baseline.total_dcache_reads
 
     def test_256_window_configs_run(self, gzip_trace):
-        for config in standard_configs(window=256)[:2] + [
+        for config in config_set("standard", window=256)[:2] + [
             MachineConfig.nosq(window=256)
         ]:
-            stats = simulate(config, gzip_trace, warmup=TINY.warmup)
+            stats = Processor(config).run(gzip_trace, warmup=TINY.warmup)
             assert stats.instructions == len(gzip_trace) - TINY.warmup
 
     def test_bigger_window_does_not_hurt_perfect_baseline(self, gzip_trace):
-        small = simulate(
-            MachineConfig.conventional(perfect_scheduling=True),
-            gzip_trace, warmup=TINY.warmup,
-        )
-        large = simulate(
-            MachineConfig.conventional(window=256, perfect_scheduling=True),
-            gzip_trace, warmup=TINY.warmup,
-        )
+        small = Processor(
+            MachineConfig.conventional(perfect_scheduling=True)
+        ).run(gzip_trace, warmup=TINY.warmup)
+        large = Processor(
+            MachineConfig.conventional(window=256, perfect_scheduling=True)
+        ).run(gzip_trace, warmup=TINY.warmup)
         assert large.cycles <= small.cycles * 1.05
 
 

@@ -24,7 +24,7 @@ import dataclasses
 from hypothesis import given, settings
 
 from repro.core.bypass_predictor import BypassPredictorConfig
-from repro.pipeline import MachineConfig, simulate
+from repro.pipeline import MachineConfig, Processor
 from repro.validate import ops_strategy, ops_to_trace, run_diff
 
 OPS = ops_strategy(min_size=1, max_size=120)
@@ -48,21 +48,21 @@ class TestNoSilentWrongCommit:
     @settings(max_examples=80, deadline=None)
     def test_nosq_with_delay(self, ops):
         trace = ops_to_trace(ops)
-        stats = simulate(stressed(MachineConfig.nosq(delay=True)), trace)
+        stats = Processor(stressed(MachineConfig.nosq(delay=True))).run(trace)
         assert stats.instructions == len(trace)
 
     @given(OPS)
     @settings(max_examples=80, deadline=None)
     def test_nosq_without_delay(self, ops):
         trace = ops_to_trace(ops)
-        stats = simulate(stressed(MachineConfig.nosq(delay=False)), trace)
+        stats = Processor(stressed(MachineConfig.nosq(delay=False))).run(trace)
         assert stats.instructions == len(trace)
 
     @given(OPS)
     @settings(max_examples=60, deadline=None)
     def test_conventional(self, ops):
         trace = ops_to_trace(ops)
-        stats = simulate(stressed(MachineConfig.conventional()), trace)
+        stats = Processor(stressed(MachineConfig.conventional())).run(trace)
         assert stats.instructions == len(trace)
 
     @given(ops_strategy(min_size=1, max_size=100))
@@ -71,7 +71,7 @@ class TestNoSilentWrongCommit:
         config = stressed(MachineConfig.nosq())
         config = dataclasses.replace(config, ssn_bits=4)
         trace = ops_to_trace(ops)
-        stats = simulate(config, trace)
+        stats = Processor(config).run(trace)
         assert stats.instructions == len(trace)
 
 
@@ -105,7 +105,7 @@ class TestOracleConfigurations:
     @settings(max_examples=60, deadline=None)
     def test_perfect_smb_never_flushes(self, ops):
         trace = ops_to_trace(ops)
-        stats = simulate(MachineConfig.nosq(perfect=True), trace)
+        stats = Processor(MachineConfig.nosq(perfect=True)).run(trace)
         assert stats.flushes == 0
         assert stats.instructions == len(trace)
 
@@ -113,9 +113,9 @@ class TestOracleConfigurations:
     @settings(max_examples=60, deadline=None)
     def test_perfect_scheduling_never_flushes(self, ops):
         trace = ops_to_trace(ops)
-        stats = simulate(
-            MachineConfig.conventional(perfect_scheduling=True), trace
-        )
+        stats = Processor(
+            MachineConfig.conventional(perfect_scheduling=True)
+        ).run(trace)
         assert stats.flushes == 0
         assert stats.instructions == len(trace)
 
@@ -125,7 +125,7 @@ class TestInvariants:
     @settings(max_examples=40, deadline=None)
     def test_load_classification_partitions(self, ops):
         trace = ops_to_trace(ops)
-        stats = simulate(MachineConfig.nosq(), trace)
+        stats = Processor(MachineConfig.nosq()).run(trace)
         assert (
             stats.bypassed_loads + stats.delayed_loads + stats.nonbypassed_loads
             == stats.loads
@@ -136,7 +136,7 @@ class TestInvariants:
     @settings(max_examples=40, deadline=None)
     def test_composition_matches_trace(self, ops):
         trace = ops_to_trace(ops)
-        stats = simulate(MachineConfig.nosq(), trace)
+        stats = Processor(MachineConfig.nosq()).run(trace)
         assert stats.loads == sum(i.is_load for i in trace)
         assert stats.stores == sum(i.is_store for i in trace)
         assert stats.branches == sum(i.is_branch for i in trace)
@@ -145,8 +145,8 @@ class TestInvariants:
     @settings(max_examples=30, deadline=None)
     def test_determinism(self, ops):
         trace = ops_to_trace(ops)
-        first = simulate(MachineConfig.nosq(), trace)
-        second = simulate(MachineConfig.nosq(), trace)
+        first = Processor(MachineConfig.nosq()).run(trace)
+        second = Processor(MachineConfig.nosq()).run(trace)
         assert first.cycles == second.cycles
         assert first.flushes == second.flushes
         assert first.bypassed_loads == second.bypassed_loads
@@ -156,5 +156,5 @@ class TestInvariants:
     def test_cycles_bounded(self, ops):
         """IPC cannot exceed the machine width; cycles stay finite."""
         trace = ops_to_trace(ops)
-        stats = simulate(MachineConfig.nosq(), trace)
+        stats = Processor(MachineConfig.nosq()).run(trace)
         assert stats.cycles >= len(trace) / 4

@@ -10,7 +10,7 @@ from repro.isa.tracefile import (
     load_trace,
     save_trace,
 )
-from repro.pipeline import MachineConfig, simulate
+from repro.pipeline import MachineConfig, Processor
 from repro.workloads import generate_trace
 from tests.conftest import build_trace
 
@@ -49,8 +49,8 @@ class TestRoundTrip:
         path = tmp_path / "g.trace.gz"
         save_trace(trace, path)
         loaded = load_trace(path)
-        original = simulate(MachineConfig.nosq(), trace)
-        reloaded = simulate(MachineConfig.nosq(), loaded)
+        original = Processor(MachineConfig.nosq()).run(trace)
+        reloaded = Processor(MachineConfig.nosq()).run(loaded)
         assert original.cycles == reloaded.cycles
         assert original.flushes == reloaded.flushes
 

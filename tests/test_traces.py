@@ -27,9 +27,9 @@ import pytest
 
 from repro.cli import main
 from repro.experiments import CampaignSpec, Job, ResultCache, job_key, run_campaign
-from repro.harness.runner import ExperimentScale, make_trace
+from repro.harness.runner import ExperimentScale
 from repro.isa.tracefile import TraceFormatError, load_trace, save_trace
-from repro.pipeline import MachineConfig, simulate
+from repro.pipeline import MachineConfig, Processor
 from repro.traces import (
     FileTraceSource,
     GeneratorSource,
@@ -167,8 +167,8 @@ class TestRunStatsIdentity:
         save_trace(trace, path, version=2)
         reloaded = load_trace(path)
         for config in (MachineConfig.nosq(), MachineConfig.conventional()):
-            original = simulate(config, trace, warmup=1_000)
-            again = simulate(config, reloaded, warmup=1_000)
+            original = Processor(config).run(trace, warmup=1_000)
+            again = Processor(config).run(reloaded, warmup=1_000)
             assert vars(original) == vars(again), config.name
 
 
@@ -293,7 +293,7 @@ class TestImporter:
 
     def test_imported_trace_simulates(self):
         trace = import_synchrotrace(SAMPLE)
-        stats = simulate(MachineConfig.nosq(), trace, warmup=1_000)
+        stats = Processor(MachineConfig.nosq()).run(trace, warmup=1_000)
         assert stats.cycles > 0
         assert stats.bypassed_loads > 0  # comm events became bypasses
 
@@ -336,7 +336,8 @@ class TestSources:
         scale = ExperimentScale("tiny", 2_000, 500)
         source = resolve_source("gzip")
         assert_traces_identical(
-            source.trace(scale, seed=17), make_trace("gzip", scale, 17)
+            source.trace(scale, seed=17),
+            generate_trace("gzip", scale.num_instructions, seed=17),
         )
         assert source.content_id() is None
 
@@ -435,7 +436,7 @@ class TestCampaignIntegration:
     def test_mixed_source_campaign_with_cache_hits(self, tmp_path):
         trace_file = tmp_path / "gzip.bt"
         save_trace(
-            make_trace("gzip", self.SCALE, 17), trace_file, version=2
+            resolve_source("gzip").trace(self.SCALE, 17), trace_file, version=2
         )
         spec = CampaignSpec(
             benchmarks=[
@@ -469,7 +470,7 @@ class TestCampaignIntegration:
         from repro.experiments import plan_campaign
 
         trace_file = tmp_path / "t.bt"
-        save_trace(make_trace("gzip", self.SCALE, 17), trace_file,
+        save_trace(resolve_source("gzip").trace(self.SCALE, 17), trace_file,
                    version=2)
         spec = CampaignSpec(
             benchmarks=["gzip", "zoo.overlap", f"trace:{trace_file}"],
