@@ -29,15 +29,16 @@ Package map:
 * :mod:`repro.ooo` -- the in-flight instruction record and the reference
   associative store-queue search (the window state itself is plain data
   on :class:`~repro.pipeline.processor.Processor`)
-* :mod:`repro.predictors` -- StoreSets, oracles
+* :mod:`repro.predictors` -- StoreSets
 * :mod:`repro.core` -- the NoSQ mechanisms (the paper's contribution)
 * :mod:`repro.pipeline` -- machine configs and the cycle-level processor
 * :mod:`repro.workloads` -- benchmark profiles, generator, programs
 * :mod:`repro.harness` -- Table 5 / Figures 2-5 regeneration
 * :mod:`repro.experiments` -- sharded, cached, resumable campaign engine
 * :mod:`repro.traces` -- pluggable trace sources (benchmark-id registry)
-* :mod:`repro.api` -- the public façade: string-addressable configs,
-  component registry, typed ``simulate``/``sweep`` entry points
+* :mod:`repro.api` -- the public façade: string-addressable configs
+  (built-in presets plus overrides), typed ``simulate``/``sweep`` entry
+  points
 """
 
 from repro.pipeline import MachineConfig, Processor, RunStats

@@ -8,13 +8,11 @@ the trace-source registry of :mod:`repro.traces`:
   (``preset[@window][?key=value,...]``): named presets
   (``conventional``, ``conventional-perfect``, ``nosq``,
   ``nosq-nodelay``, ``nosq-perfect``), dotted-path overrides with typed
-  coercion and did-you-mean errors, glob/set expansion, JSON/TOML round
-  trips, and stable hashing into campaign cache keys.
-* **Components** (:mod:`repro.api.components`) — register swappable
-  predictor/scheduler/memory implementations
-  (``register_bypass_predictor(...)`` etc.) and select them per machine
-  with ``...?bypass.impl=<name>`` overrides, so ablations are config
-  strings rather than code edits.
+  coercion and did-you-mean errors, glob/set expansion, and stable
+  hashing into campaign cache keys.  Ablations are override strings
+  (``nosq?bypass.conf_dec=127``) rather than code edits; any other
+  machine is a :class:`~repro.pipeline.config.MachineConfig` passed in
+  directly.
 * **Entry points** (:mod:`repro.api.facade`) — typed
   ``simulate(config, source, scale) -> SimResult`` and
   ``sweep(configs, benchmarks, ...) -> SweepResult`` built on the
@@ -39,37 +37,15 @@ standard presets resolve to configs bit-identical to the
 campaign caches stay valid.
 """
 
-from repro.api.components import (
-    Component,
-    ComponentError,
-    component_names,
-    create_component,
-    list_components,
-    register_bypass_predictor,
-    register_component,
-    register_memory_hierarchy,
-    register_scheduler,
-    unregister_component,
-)
 from repro.api.configs import (
-    REGISTRY,
     ConfigPreset,
-    ConfigRegistry,
     ConfigSpecError,
-    config_from_dict,
-    config_from_json,
-    config_from_toml,
     config_hash,
     config_set,
-    config_to_dict,
-    config_to_json,
-    config_to_toml,
     list_config_sets,
     list_configs,
-    register_config,
     resolve_config,
     resolve_configs,
-    unregister_config,
 )
 from repro.api.facade import (
     NAMED_SCALES,
@@ -83,40 +59,20 @@ from repro.api.facade import (
 )
 
 __all__ = [
-    "Component",
-    "ComponentError",
     "ConfigPreset",
-    "ConfigRegistry",
     "ConfigSpecError",
     "NAMED_SCALES",
-    "REGISTRY",
     "SimResult",
     "SweepResult",
-    "component_names",
-    "config_from_dict",
-    "config_from_json",
-    "config_from_toml",
     "config_hash",
     "config_set",
-    "config_to_dict",
-    "config_to_json",
-    "config_to_toml",
-    "create_component",
     "effective_warmup",
-    "list_components",
     "list_config_sets",
     "list_configs",
-    "register_bypass_predictor",
-    "register_component",
-    "register_config",
-    "register_memory_hierarchy",
-    "register_scheduler",
     "resolve_config",
     "resolve_configs",
     "resolve_scale",
     "simulate",
     "sweep",
-    "unregister_component",
-    "unregister_config",
     "validate",
 ]

@@ -1,4 +1,4 @@
-"""String-addressable machine configurations: presets, overrides, codecs.
+"""String-addressable machine configurations: presets, overrides, hashing.
 
 This module makes every :class:`~repro.pipeline.config.MachineConfig` the
 campaign engine can run addressable by a *config spec* string, exactly as
@@ -16,23 +16,25 @@ Examples::
     nosq?backend.rob_size=256        same (window resources answer to
                                      the ``backend.`` namespace too)
     nosq?bypass.history_bits=10,hierarchy.l1_size=32768
-    nosq?bypass.impl=myimpl          select a registered component
+    nosq?bypass.conf_dec=127         a sticky bypassing predictor
 
 Sections are the nested config dataclasses — ``backend``
 (:class:`BackendConfig`), ``bypass_predictor``
 (:class:`BypassPredictorConfig`, alias ``bypass``) and ``hierarchy``
-(:class:`HierarchyConfig`, alias ``memory``) — plus the special
-``<section>.impl`` keys that select registered component implementations
-(:mod:`repro.api.components`).  Values are coerced to the field's declared
-type (``none`` for optional fields, ``true``/``false`` for booleans, enums
-by value); unknown presets and keys fail with a did-you-mean suggestion.
+(:class:`HierarchyConfig`, alias ``memory``).  Values are coerced to the
+field's declared type (``none`` for optional fields, ``true``/``false``
+for booleans, enums by value); unknown presets and keys fail with a
+did-you-mean suggestion, and sizes a structure cannot be built with fail
+with that structure's own one-line message.
 
-The five standard presets resolve to configs *identical* to the historical
-``MachineConfig.conventional()``/``nosq()`` factories — same fields, same
-``name`` — so campaign cache keys are byte-stable across the registry
-(pinned by ``tests/test_api.py``).  Override-derived configs get a
-canonical name (``nosq-delay?rob_size=256``) and hash into cache keys
-through their full field set like any other config.
+The presets are fixed: the paper's machines are the built-in presets and
+their overrides, and any other machine is a :class:`MachineConfig` passed
+in directly.  The five standard presets resolve to configs *identical* to
+the ``MachineConfig.conventional()``/``nosq()`` factories — same fields,
+same ``name`` — so campaign cache keys are byte-stable (pinned by
+``tests/test_api.py``).  Override-derived configs get a canonical name
+(``nosq-delay?rob_size=256``) and hash into cache keys through their full
+field set like any other config.
 
 In list contexts (``repro campaign run --configs``,
 :func:`resolve_configs`) a comma separates *specs*; a fragment that looks
@@ -54,23 +56,16 @@ import types
 import typing
 from typing import Any, Callable, Iterable, Union
 
-from repro.api.components import (
-    IMPL_FIELDS,
-    ComponentError,
-    selected_components,
-    validate_component,
-)
 from repro.core.bypass_predictor import BypassPredictorConfig
 from repro.core.commit_pipeline import BackendConfig
 from repro.memory.hierarchy import HierarchyConfig
-from repro.pipeline.config import MachineConfig, check_window
+from repro.pipeline.config import MachineConfig
+from repro.pipeline.processor import Processor
 
 
 class ConfigSpecError(ValueError):
     """A config spec failed to parse, resolve or validate."""
 
-
-ConfigFactory = Callable[[int], MachineConfig]
 
 _SPEC_RE = re.compile(
     r"^(?P<name>[^@?]+)(?:@(?P<window>[^?]+))?(?:\?(?P<overrides>.*))?$"
@@ -83,11 +78,6 @@ _SECTIONS: dict[str, type] = {
     "hierarchy": HierarchyConfig,
 }
 _SECTION_ALIASES = {"bypass": "bypass_predictor", "memory": "hierarchy"}
-#: ``<namespace>.impl`` -> top-level component-selector field, and the
-#: inverse (for registry validation) — both derived from the canonical
-#: kind->field map in :mod:`repro.api.components`.
-_IMPL_KEYS = dict(IMPL_FIELDS)
-_IMPL_KINDS = {field: kind for kind, field in IMPL_FIELDS.items()}
 
 _TRUE = {"true", "yes", "on", "1"}
 _FALSE = {"false", "no", "off", "0"}
@@ -198,8 +188,6 @@ def _resolve_key(key: str) -> tuple[str | None, str]:
     if len(parts) == 2:
         head, leaf = parts
         section = _SECTION_ALIASES.get(head, head)
-        if leaf == "impl" and section in _IMPL_KEYS:
-            return None, _IMPL_KEYS[section]
         if section in _SECTIONS:
             section_fields = _type_hints(_SECTIONS[section])
             if leaf in section_fields:
@@ -210,7 +198,7 @@ def _resolve_key(key: str) -> tuple[str | None, str]:
                 # are back-end machinery; let them answer to backend.*
                 # ('name' stays non-overridable through every spelling).
                 return None, leaf
-            candidates = list(section_fields) + ["impl"]
+            candidates = list(section_fields)
             if section == "backend":
                 candidates += [f for f in top_fields if f != "name"]
             raise ConfigSpecError(
@@ -219,7 +207,7 @@ def _resolve_key(key: str) -> tuple[str | None, str]:
             )
         raise ConfigSpecError(
             f"unknown config section {head!r}"
-            f"{_suggest(head, list(_SECTIONS) + list(_SECTION_ALIASES) + list(_IMPL_KEYS))}"
+            f"{_suggest(head, list(_SECTIONS) + list(_SECTION_ALIASES))}"
         )
     raise ConfigSpecError(
         f"config keys nest at most one level (field or section.field), "
@@ -252,34 +240,18 @@ def parse_overrides(text: str) -> dict[str, Any]:
     return overrides
 
 
-def _check_impl_applicability(config: MachineConfig) -> None:
-    """Reject selectors for components the config never instantiates
-    (:func:`repro.api.components.component_applicable`), so the error
-    surfaces at spec-resolution time — before cache keys are planned or
-    a campaign starts.  ``Processor.__init__`` raises too, as defense in
-    depth for programmatically-built configs."""
-    from repro.api.components import (
-        component_applicable,
-        inapplicable_message,
-    )
-
-    for kind, name in selected_components(config).items():
-        if not component_applicable(kind, config):
-            raise ConfigSpecError(inapplicable_message(kind, name, config))
-
-
 def apply_overrides(
     config: MachineConfig, overrides: dict[str, Any]
 ) -> MachineConfig:
-    """Apply parsed *overrides* and derive a canonical config name."""
+    """Apply parsed *overrides* and derive a canonical config name.
+
+    The result is built into a :class:`Processor` once, so a size that
+    the window check or a structure's constructor rejects fails here,
+    before a run or a campaign starts.
+    """
     top: dict[str, Any] = {}
     nested: dict[str, dict[str, Any]] = {}
     for canonical, value in overrides.items():
-        if canonical in _IMPL_KINDS and value != "default":
-            try:
-                validate_component(_IMPL_KINDS[canonical], value)
-            except ComponentError as exc:
-                raise ConfigSpecError(f"{canonical}: {exc}") from None
         if "." in canonical:
             section, field = canonical.split(".", 1)
             nested.setdefault(section, {})[field] = value
@@ -296,10 +268,9 @@ def apply_overrides(
         config, name=f"{config.name}?{suffix}", **top
     )
     try:
-        check_window(config)
+        Processor(config)
     except ValueError as exc:
         raise ConfigSpecError(str(exc)) from None
-    _check_impl_applicability(config)
     return config
 
 
@@ -308,7 +279,7 @@ class ConfigPreset:
     """One named, window-parametric machine-configuration factory."""
 
     name: str
-    factory: ConfigFactory
+    factory: Callable[[int], MachineConfig]
     description: str = ""
     aliases: tuple[str, ...] = ()
 
@@ -319,214 +290,118 @@ class ConfigPreset:
             raise ConfigSpecError(f"{self.name}@{window}: {exc}") from None
 
 
-class ConfigRegistry:
-    """Named machine-configuration presets and preset sets."""
+# --------------------------------------------------------------------- #
+# The paper's presets and set names.
+# --------------------------------------------------------------------- #
 
-    def __init__(self) -> None:
-        self._presets: dict[str, ConfigPreset] = {}
-        self._aliases: dict[str, str] = {}
-        self._sets: dict[str, tuple[str, ...]] = {}
-        self._set_descriptions: dict[str, str] = {}
+_PRESETS: dict[str, ConfigPreset] = {preset.name: preset for preset in (
+    ConfigPreset(
+        "conventional",
+        lambda window: MachineConfig.conventional(window=window),
+        "associative SQ + StoreSets scheduling (Figure 2 bar 1)",
+        ("sq-storesets",),
+    ),
+    ConfigPreset(
+        "conventional-perfect",
+        lambda window: MachineConfig.conventional(
+            window=window, perfect_scheduling=True
+        ),
+        "associative SQ + perfect scheduling (the normalization baseline)",
+        ("sq-perfect",),
+    ),
+    ConfigPreset(
+        "conventional-smb",
+        lambda window: MachineConfig.conventional_smb(window=window),
+        "associative SQ + opportunistic SMB (Table 1 background)",
+        ("sq-smb",),
+    ),
+    ConfigPreset(
+        "nosq",
+        lambda window: MachineConfig.nosq(window=window),
+        "NoSQ with delay (Figure 2 bar 3, the paper's design)",
+        ("nosq-delay",),
+    ),
+    ConfigPreset(
+        "nosq-nodelay",
+        lambda window: MachineConfig.nosq(window=window, delay=False),
+        "NoSQ without delay (Figure 2 bar 2)",
+    ),
+    ConfigPreset(
+        "nosq-perfect",
+        lambda window: MachineConfig.nosq(window=window, perfect=True),
+        "idealized NoSQ: perfect bypassing prediction (Figure 2 bar 4)",
+    ),
+)}
+_ALIASES = {
+    alias: preset.name
+    for preset in _PRESETS.values() for alias in preset.aliases
+}
+_SETS: dict[str, tuple[str, ...]] = {
+    # The five-configuration sweep behind Table 5 / Figures 2-4.
+    "standard": ("conventional-perfect", "conventional", "nosq-nodelay",
+                 "nosq", "nosq-perfect"),
+    # The two NoSQ variants Table 5 measures.
+    "table5": ("nosq-nodelay", "nosq"),
+    # Baseline vs NoSQ-with-delay (Figure 4 cache bandwidth).
+    "figure4": ("conventional", "nosq"),
+}
 
-    # -- registration ------------------------------------------------- #
 
-    def register(
-        self,
-        name: str,
-        factory: ConfigFactory | MachineConfig,
-        description: str = "",
-        aliases: Iterable[str] = (),
-        replace: bool = False,
-    ) -> ConfigPreset:
-        """Register a preset under *name* (and *aliases*).
+def list_configs() -> dict[str, ConfigPreset]:
+    """All presets by canonical name."""
+    return dict(_PRESETS)
 
-        *factory* is either ``factory(window: int) -> MachineConfig`` or a
-        :class:`MachineConfig` instance.  An instance is a *fixed* machine:
-        ``name@N`` is rejected for it (re-applying the paper's window
-        scaling to an arbitrary base would compound resources
-        unpredictably); register a factory to support ``@window``.
-        """
-        if not name:
-            raise ConfigSpecError("config preset needs a non-empty name")
-        if isinstance(factory, MachineConfig):
-            base = factory
 
-            def factory(window: int, _base=base, _name=name) -> MachineConfig:
-                if window != 128:
-                    raise ValueError(
-                        f"preset {_name!r} was registered as a fixed "
-                        "MachineConfig instance and does not support "
-                        "@window scaling; register a factory instead"
-                    )
-                return dataclasses.replace(_base)
+def list_config_sets() -> dict[str, tuple[str, ...]]:
+    """All config sets (name -> member specs)."""
+    return dict(_SETS)
 
-        new_names = {name, *aliases}
-        taken = set(self._presets) | set(self._aliases) | set(self._sets)
-        # replace=True only exempts the preset being replaced (its name
-        # and its old aliases) — it must not let an alias hijack another
-        # preset's canonical name or a set name.
-        old = self._presets.get(name) if replace else None
-        if old is not None:
-            taken -= {name, *old.aliases}
-        clash = new_names & taken
-        if clash:
-            raise ConfigSpecError(
-                f"config preset name(s) already registered: {sorted(clash)}"
-            )
-        if old is not None:
-            for alias in old.aliases:
-                self._aliases.pop(alias, None)
-        preset = ConfigPreset(name, factory, description, tuple(aliases))
-        self._presets[name] = preset
-        for alias in preset.aliases:
-            self._aliases[alias] = name
+
+def _lookup(name: str) -> ConfigPreset:
+    preset = _PRESETS.get(_ALIASES.get(name, name))
+    if preset is not None:
         return preset
+    if name in _SETS:
+        raise ConfigSpecError(
+            f"{name!r} is a config *set* ({', '.join(_SETS[name])}); set "
+            "names expand in list contexts — resolve_configs() or "
+            f"--configs — where {name!r} or '{name}@256' work"
+        )
+    raise ConfigSpecError(
+        f"unknown config preset {name!r} "
+        f"(known: {', '.join(sorted(_PRESETS))})"
+        f"{_suggest(name, list(_PRESETS) + list(_ALIASES))}"
+    )
 
-    def register_set(
-        self, name: str, specs: Iterable[str], description: str = ""
-    ) -> None:
-        """Register a named list of specs (``standard``, ``table5``, ...)."""
-        if name in self._presets or name in self._aliases:
-            raise ConfigSpecError(f"{name!r} already names a preset")
-        self._sets[name] = tuple(specs)
-        self._set_descriptions[name] = description
 
-    def unregister(self, name: str) -> None:
-        preset = self._presets.pop(name, None)
-        if preset is not None:
-            for alias in preset.aliases:
-                self._aliases.pop(alias, None)
-
-    # -- introspection ------------------------------------------------- #
-
-    def presets(self) -> dict[str, ConfigPreset]:
-        return dict(self._presets)
-
-    def sets(self) -> dict[str, tuple[str, ...]]:
-        return dict(self._sets)
-
-    def describe_set(self, name: str) -> str:
-        return self._set_descriptions.get(name, "")
-
-    # -- resolution ---------------------------------------------------- #
-
-    def _lookup(self, name: str) -> ConfigPreset:
-        target = self._aliases.get(name, name)
-        preset = self._presets.get(target)
-        if preset is None:
-            known = list(self._presets) + list(self._aliases)
-            if name in self._sets:
-                raise ConfigSpecError(
-                    f"{name!r} is a config *set* "
-                    f"({', '.join(self._sets[name])}); set names expand in "
-                    "list contexts — resolve_configs() or --configs — "
-                    f"where {name!r} or '{name}@256' work"
-                )
+def resolve_config(
+    spec: str | MachineConfig, window: int = 128
+) -> MachineConfig:
+    """Resolve one spec string to a :class:`MachineConfig` (a config
+    passes through).  An explicit ``@N`` in the spec wins over *window*.
+    """
+    if isinstance(spec, MachineConfig):
+        return spec
+    match = _SPEC_RE.match(spec.strip())
+    if not match or not match.group("name").strip():
+        raise ConfigSpecError(
+            f"malformed config spec {spec!r} "
+            "(expected preset[@window][?key=value,...])"
+        )
+    if match.group("window") is not None:
+        try:
+            window = int(match.group("window"))
+        except ValueError:
             raise ConfigSpecError(
-                f"unknown config preset {name!r} "
-                f"(known: {', '.join(sorted(self._presets))})"
-                f"{_suggest(name, known)}"
-            )
-        return preset
-
-    def resolve(self, spec: str, window: int = 128) -> MachineConfig:
-        """Resolve one config spec to a :class:`MachineConfig`.
-
-        An explicit ``@N`` in the spec wins over the *window* argument.
-        """
-        if isinstance(spec, MachineConfig):
-            return spec
-        match = _SPEC_RE.match(spec.strip())
-        if not match or not match.group("name").strip():
-            raise ConfigSpecError(
-                f"malformed config spec {spec!r} "
-                "(expected preset[@window][?key=value,...])"
-            )
-        name = match.group("name").strip()
-        if match.group("window") is not None:
-            try:
-                window = int(match.group("window"))
-            except ValueError:
-                raise ConfigSpecError(
-                    f"{spec!r}: window must be an integer, "
-                    f"got {match.group('window')!r}"
-                ) from None
-        config = self._lookup(name).build(window)
-        if match.group("overrides") is not None:
-            config = apply_overrides(
-                config, parse_overrides(match.group("overrides"))
-            )
-        return config
-
-    def resolve_many(
-        self, specs: str | Iterable[str], window: int = 128
-    ) -> list[MachineConfig]:
-        """Resolve a spec list: set names, globs and plain specs.
-
-        A string is first split on commas (bare-override fragments
-        re-attach to the spec before them, see :func:`split_spec_list`).
-        """
-        if isinstance(specs, str):
-            items: list[str | MachineConfig] = split_spec_list(specs)
-        else:
-            items = []
-            for spec in specs:
-                if isinstance(spec, str):
-                    items.extend(split_spec_list(spec))
-                else:
-                    items.append(spec)
-        configs: list[MachineConfig] = []
-        for item in items:
-            if isinstance(item, MachineConfig):
-                configs.append(item)
-                continue
-            item = item.strip()
-            match = _SPEC_RE.match(item)
-            name = match.group("name").strip() if match else item
-            suffix = item[len(match.group("name")):] if match else ""
-            if name in self._sets:
-                # Set names expand with the suffix applied to every
-                # member: 'standard@256', 'table5?rob_size=96'.
-                for member in self._sets[name]:
-                    if suffix and ("@" in member or "?" in member):
-                        raise ConfigSpecError(
-                            f"{item!r}: set member {member!r} already "
-                            "carries a window/override suffix"
-                        )
-                    configs.append(self.resolve(member + suffix, window))
-                continue
-            if match and any(ch in name for ch in "*["):
-                hits = sorted(
-                    preset for preset in self._presets
-                    if fnmatch.fnmatchcase(preset, name)
-                )
-                if not hits:
-                    raise ConfigSpecError(
-                        f"config glob {name!r} matches no preset "
-                        f"(known: {', '.join(sorted(self._presets))})"
-                    )
-                configs.extend(
-                    self.resolve(hit + suffix, window) for hit in hits
-                )
-                continue
-            configs.append(self.resolve(item, window))
-        if not configs:
-            raise ConfigSpecError(f"empty config spec list: {specs!r}")
-        # Overlapping globs/sets/aliases legitimately resolve the same
-        # machine more than once (nosq* + standard); keep the first of
-        # each name.  Same-named but *different* configs are a conflict,
-        # not a duplicate.
-        unique: dict[str, MachineConfig] = {}
-        for config in configs:
-            existing = unique.get(config.name)
-            if existing is None:
-                unique[config.name] = config
-            elif existing != config:
-                raise ConfigSpecError(
-                    f"specs resolve to conflicting configs both named "
-                    f"{config.name!r}"
-                )
-        return list(unique.values())
+                f"{spec!r}: window must be an integer, "
+                f"got {match.group('window')!r}"
+            ) from None
+    config = _lookup(match.group("name").strip()).build(window)
+    if match.group("overrides") is not None:
+        config = apply_overrides(
+            config, parse_overrides(match.group("overrides"))
+        )
+    return config
 
 
 def split_spec_list(text: str) -> list[str]:
@@ -548,230 +423,92 @@ def split_spec_list(text: str) -> list[str]:
     return specs
 
 
-# --------------------------------------------------------------------- #
-# The default registry: the paper's presets and set names.
-# --------------------------------------------------------------------- #
-
-REGISTRY = ConfigRegistry()
-
-REGISTRY.register(
-    "conventional",
-    lambda window: MachineConfig.conventional(window=window),
-    description="associative SQ + StoreSets scheduling (Figure 2 bar 1)",
-    aliases=("sq-storesets",),
-)
-REGISTRY.register(
-    "conventional-perfect",
-    lambda window: MachineConfig.conventional(
-        window=window, perfect_scheduling=True
-    ),
-    description="associative SQ + perfect scheduling "
-                "(the normalization baseline)",
-    aliases=("sq-perfect",),
-)
-REGISTRY.register(
-    "conventional-smb",
-    lambda window: MachineConfig.conventional_smb(window=window),
-    description="associative SQ + opportunistic SMB (Table 1 background)",
-    aliases=("sq-smb",),
-)
-REGISTRY.register(
-    "nosq",
-    lambda window: MachineConfig.nosq(window=window),
-    description="NoSQ with delay (Figure 2 bar 3, the paper's design)",
-    aliases=("nosq-delay",),
-)
-REGISTRY.register(
-    "nosq-nodelay",
-    lambda window: MachineConfig.nosq(window=window, delay=False),
-    description="NoSQ without delay (Figure 2 bar 2)",
-)
-REGISTRY.register(
-    "nosq-perfect",
-    lambda window: MachineConfig.nosq(window=window, perfect=True),
-    description="idealized NoSQ: perfect bypassing prediction "
-                "(Figure 2 bar 4)",
-)
-
-REGISTRY.register_set(
-    "standard",
-    ("conventional-perfect", "conventional", "nosq-nodelay", "nosq",
-     "nosq-perfect"),
-    description="the five-configuration sweep behind Table 5 / Figures 2-4",
-)
-REGISTRY.register_set(
-    "table5",
-    ("nosq-nodelay", "nosq"),
-    description="the two NoSQ variants Table 5 measures",
-)
-REGISTRY.register_set(
-    "figure4",
-    ("conventional", "nosq"),
-    description="baseline vs NoSQ-with-delay (Figure 4 cache bandwidth)",
-)
-
-
-# --------------------------------------------------------------------- #
-# Module-level convenience API over the default registry.
-# --------------------------------------------------------------------- #
-
-def register_config(
-    name: str,
-    factory: ConfigFactory | MachineConfig,
-    description: str = "",
-    aliases: Iterable[str] = (),
-    replace: bool = False,
-) -> ConfigPreset:
-    """Register a preset with the default registry (see
-    :meth:`ConfigRegistry.register`)."""
-    return REGISTRY.register(name, factory, description, aliases, replace)
-
-
-def unregister_config(name: str) -> None:
-    REGISTRY.unregister(name)
-
-
-def list_configs() -> dict[str, ConfigPreset]:
-    """All registered presets by canonical name."""
-    return REGISTRY.presets()
-
-
-def list_config_sets() -> dict[str, tuple[str, ...]]:
-    """All registered config sets (name -> member specs)."""
-    return REGISTRY.sets()
-
-
-def resolve_config(spec: str | MachineConfig, window: int = 128) -> MachineConfig:
-    """Resolve one spec string (or pass a config through)."""
-    return REGISTRY.resolve(spec, window) if isinstance(spec, str) else spec
-
-
 def resolve_configs(
     specs: str | Iterable[str | MachineConfig], window: int = 128
 ) -> list[MachineConfig]:
-    """Resolve a spec list/globs/sets to configs (see
-    :meth:`ConfigRegistry.resolve_many`)."""
-    return REGISTRY.resolve_many(specs, window)
+    """Resolve a spec list: set names, globs, plain specs and configs.
+
+    A string is first split on commas (bare-override fragments re-attach
+    to the spec before them, see :func:`split_spec_list`).
+    """
+    if isinstance(specs, str):
+        items: list[str | MachineConfig] = split_spec_list(specs)
+    else:
+        items = []
+        for spec in specs:
+            if isinstance(spec, str):
+                items.extend(split_spec_list(spec))
+            else:
+                items.append(spec)
+    configs: list[MachineConfig] = []
+    for item in items:
+        if isinstance(item, MachineConfig):
+            configs.append(item)
+            continue
+        item = item.strip()
+        match = _SPEC_RE.match(item)
+        name = match.group("name").strip() if match else item
+        suffix = item[len(match.group("name")):] if match else ""
+        if name in _SETS:
+            # Set names expand with the suffix applied to every member:
+            # 'standard@256', 'table5?rob_size=96'.
+            configs.extend(
+                resolve_config(member + suffix, window)
+                for member in _SETS[name]
+            )
+            continue
+        if match and any(ch in name for ch in "*["):
+            hits = sorted(
+                preset for preset in _PRESETS
+                if fnmatch.fnmatchcase(preset, name)
+            )
+            if not hits:
+                raise ConfigSpecError(
+                    f"config glob {name!r} matches no preset "
+                    f"(known: {', '.join(sorted(_PRESETS))})"
+                )
+            configs.extend(resolve_config(hit + suffix, window) for hit in hits)
+            continue
+        configs.append(resolve_config(item, window))
+    if not configs:
+        raise ConfigSpecError(f"empty config spec list: {specs!r}")
+    # Overlapping globs/sets/aliases legitimately resolve the same machine
+    # more than once (nosq* + standard); keep the first of each name.
+    # Same-named but *different* configs are a conflict, not a duplicate.
+    unique: dict[str, MachineConfig] = {}
+    for config in configs:
+        existing = unique.get(config.name)
+        if existing is None:
+            unique[config.name] = config
+        elif existing != config:
+            raise ConfigSpecError(
+                f"specs resolve to conflicting configs both named "
+                f"{config.name!r}"
+            )
+    return list(unique.values())
 
 
 def config_set(name: str, window: int = 128) -> list[MachineConfig]:
-    """Build the members of a registered config set."""
-    sets = REGISTRY.sets()
-    if name not in sets:
+    """Build the members of a config set."""
+    if name not in _SETS:
         raise ConfigSpecError(
-            f"unknown config set {name!r} (known: {', '.join(sorted(sets))})"
-            f"{_suggest(name, sets)}"
+            f"unknown config set {name!r} (known: {', '.join(sorted(_SETS))})"
+            f"{_suggest(name, _SETS)}"
         )
-    return [REGISTRY.resolve(member, window) for member in sets[name]]
-
-
-# --------------------------------------------------------------------- #
-# Serialization: dict / JSON / TOML round trips and stable hashing.
-# --------------------------------------------------------------------- #
-
-def config_to_dict(config: MachineConfig) -> dict[str, Any]:
-    """Canonical JSON-compatible dict (codec layer; default-valued
-    component selectors omitted for cache-key stability)."""
-    from repro.experiments.codec import config_to_dict as _to_dict
-
-    return _to_dict(config)
-
-
-def config_from_dict(data: dict[str, Any]) -> MachineConfig:
-    from repro.experiments.codec import config_from_dict as _from_dict
-
-    return _from_dict(data)
-
-
-def config_to_json(config: MachineConfig, indent: int | None = 2) -> str:
-    import json
-
-    return json.dumps(config_to_dict(config), sort_keys=True, indent=indent)
-
-
-def config_from_json(text: str) -> MachineConfig:
-    import json
-
-    return config_from_dict(json.loads(text))
+    return [resolve_config(member, window) for member in _SETS[name]]
 
 
 def config_hash(config: MachineConfig) -> str:
     """Stable SHA-256 of the canonical serialized config.
 
     This is exactly the config contribution to campaign cache keys
-    (:func:`repro.experiments.cache.job_key`): equal configs hash equal,
-    any field change (component selectors included) changes the hash.
+    (:func:`repro.experiments.cache.job_key`): equal configs hash equal
+    and any field change changes the hash.
     """
+    # Imported lazily: resolving specs needs neither.
     import hashlib
 
-    from repro.experiments.codec import canonical_json
+    from repro.experiments.codec import canonical_json, config_to_dict
 
     payload = canonical_json(config_to_dict(config))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-def _toml_scalar(value: Any) -> str:
-    import json
-
-    if value is None:
-        return '"none"'  # TOML has no null; the codec coerces it back
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, float)):
-        return repr(value)
-    return json.dumps(str(value))
-
-
-def config_to_toml(config: MachineConfig) -> str:
-    """Render *config* as TOML (scalars first, one table per section)."""
-    data = config_to_dict(config)
-    lines: list[str] = []
-    sections: list[tuple[str, dict[str, Any]]] = []
-    for key, value in data.items():
-        if isinstance(value, dict):
-            sections.append((key, value))
-        else:
-            lines.append(f"{key} = {_toml_scalar(value)}")
-    for key, value in sections:
-        lines.append("")
-        lines.append(f"[{key}]")
-        lines.extend(f"{k} = {_toml_scalar(v)}" for k, v in value.items())
-    return "\n".join(lines) + "\n"
-
-
-def config_from_toml(text: str) -> MachineConfig:
-    """Parse :func:`config_to_toml` output back to a config."""
-    try:
-        import tomllib
-    except ImportError:  # pragma: no cover - Python 3.10
-        raise ConfigSpecError(
-            "TOML config parsing needs the stdlib tomllib (Python "
-            "3.11+); on 3.10 use config_from_json/config_from_dict"
-        ) from None
-
-    try:
-        data = tomllib.loads(text)
-    except tomllib.TOMLDecodeError as exc:
-        raise ConfigSpecError(f"invalid config TOML: {exc}") from None
-
-    def optional(hint: Any) -> bool:
-        origin = typing.get_origin(hint)
-        return (origin is Union or origin is types.UnionType) and \
-            type(None) in typing.get_args(hint)
-
-    def restore_none(cls: type, section: dict[str, Any]) -> dict[str, Any]:
-        """Map the ``"none"`` sentinel back to null — but only on fields
-        whose declared type is Optional, so a *string* field legitimately
-        holding ``"none"`` survives the round trip."""
-        hints = _type_hints(cls)
-        restored: dict[str, Any] = {}
-        for key, value in section.items():
-            if isinstance(value, dict) and key in _SECTIONS:
-                restored[key] = restore_none(_SECTIONS[key], value)
-            elif value == "none" and optional(hints.get(key)):
-                restored[key] = None
-            else:
-                restored[key] = value
-        return restored
-
-    return config_from_dict(restore_none(MachineConfig, data))

@@ -61,7 +61,6 @@ from repro.api import (
     NAMED_SCALES as _NAMED_SCALES,
     ConfigSpecError,
     effective_warmup,
-    list_components,
     list_config_sets,
     list_configs,
     resolve_config,
@@ -117,7 +116,7 @@ def cmd_list(args) -> int:
         ["preset", "config name", "description"],
         [[name, preset.build().name, preset.description]
          for name, preset in sorted(list_configs().items())],
-        title="Registered config presets (repro run / campaign --configs; "
+        title="Config presets (repro run / campaign --configs; "
               "spec grammar: preset[@window][?key=value,...])",
     ))
     print()
@@ -125,16 +124,7 @@ def cmd_list(args) -> int:
         ["config set", "members"],
         [[name, ", ".join(members)]
          for name, members in sorted(list_config_sets().items())],
-        title="Registered config sets (expand inside --configs)",
-    ))
-    print()
-    print(render_table(
-        ["component kind", "impl", "description"],
-        [[kind, name, description]
-         for kind, impls in sorted(list_components().items())
-         for name, description in impls.items()],
-        title="Registered components (select with ?<kind>.impl=<name>; "
-              "see repro.api.components)",
+        title="Config sets (expand inside --configs)",
     ))
     from repro.validate import list_invariants
 
@@ -733,7 +723,7 @@ def _add_campaign_spec_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--configs", default="standard",
-        help="configs to sweep: a comma list of registry presets "
+        help="configs to sweep: a comma list of presets "
              "(preset[@window][?key=value,...] overrides), globs over "
              "preset names ('nosq*'), or set names "
              "(standard/table5/figure4; default standard) — "

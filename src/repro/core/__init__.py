@@ -6,7 +6,7 @@
   distance-based store-load bypassing predictor with confidence/delay
   (Section 3.3).
 * :mod:`repro.core.ssbf` -- the tagged store sequence Bloom filter (T-SSBF)
-  and its untagged variant (Sections 2.2 and 3.4).
+  (Sections 2.2 and 3.4).
 * :mod:`repro.core.svw` -- SVW re-execution filtering with SMB-aware
   equality/inequality tests (Section 3.4).
 * :mod:`repro.core.partial_word` -- partial-word bypassing transformations
@@ -22,7 +22,7 @@ from repro.core.bypass_predictor import (
     BypassPrediction,
     BypassPredictorConfig,
 )
-from repro.core.ssbf import TaggedSSBF, UntaggedSSBF, SSBFEntry
+from repro.core.ssbf import TaggedSSBF, SSBFEntry
 from repro.core.svw import SVWFilter, BypassVerdict
 from repro.core.partial_word import (
     BypassTransform,
@@ -39,7 +39,6 @@ __all__ = [
     "BypassPrediction",
     "BypassPredictorConfig",
     "TaggedSSBF",
-    "UntaggedSSBF",
     "SSBFEntry",
     "SVWFilter",
     "BypassVerdict",

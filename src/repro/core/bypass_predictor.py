@@ -127,11 +127,18 @@ class _Table:
         if config.unbounded:
             self.num_sets = 1
         else:
-            if config.entries_per_table % config.assoc:
-                raise ValueError("table entries must be a multiple of assoc")
-            self.num_sets = config.entries_per_table // config.assoc
+            entries, assoc = config.entries_per_table, config.assoc
+            if assoc < 1 or entries < assoc or entries % assoc:
+                raise ValueError(
+                    f"bypass predictor entries_per_table ({entries}) must be "
+                    f"a positive multiple of its assoc ({assoc})"
+                )
+            self.num_sets = entries // assoc
             if self.num_sets & (self.num_sets - 1):
-                raise ValueError("number of sets must be a power of two")
+                raise ValueError(
+                    f"bypass predictor set count ({self.num_sets}) must be "
+                    "a power of two"
+                )
         self._sets: list[dict[int, _Entry]] = [dict() for _ in range(self.num_sets)]
         self._tag_mask = (1 << config.tag_bits) - 1
         self._index_bits = max(1, self.num_sets.bit_length() - 1)
@@ -190,6 +197,13 @@ class BypassingPredictor:
 
     def __init__(self, config: BypassPredictorConfig | None = None) -> None:
         self.config = config or BypassPredictorConfig()
+        for field in ("history_bits", "distance_bits", "shift_bits",
+                      "tag_bits", "conf_bits"):
+            if getattr(self.config, field) < 0:
+                raise ValueError(
+                    f"bypass predictor {field} must be at least 0, "
+                    f"got {getattr(self.config, field)}"
+                )
         self._plain = _Table(self.config)    # indexed by load PC
         self._path = _Table(self.config)     # indexed by PC ^ path history
         self._hist_mask = (1 << self.config.history_bits) - 1

@@ -1,23 +1,21 @@
 """Store sequence Bloom filters (Sections 2.2, 3.4, 3.5).
 
 The SVW filter tracks, per (hashed) address, the SSN of the youngest
-committed store to write there.
+committed store to write there.  The original SSBF is direct-mapped and
+untagged, safe only for *inequality* tests (aliasing can only cause
+spurious re-executions, never missed ones).  :class:`TaggedSSBF` (T-SSBF),
+the only filter this model uses, adds tags with FIFO sets, enabling the
+*equality* test NoSQ's bypassed loads need ("equality tests ... are unsafe
+in the presence of aliasing, necessitating tags").  Each entry also holds
+the store's low-order address bits and access size so that partial-word
+shift predictions can be verified without replay (Section 3.5).  Per the
+paper's configuration each entry is 8 bytes: a 20-bit SSN, 3-bit offset,
+3-bit size, and a 38-bit tag; 128 entries, 4-way.  A misaligned store that
+straddles two words also records, in the second word's entry, that it
+began in the word before (a negative offset); the paper's aligned Alpha
+stores never need that extra bit.
 
-* :class:`UntaggedSSBF` is the original direct-mapped, untagged design: safe
-  only for *inequality* tests (aliasing can only cause spurious
-  re-executions, never missed ones).
-* :class:`TaggedSSBF` (T-SSBF) adds tags with FIFO sets, enabling the
-  *equality* test NoSQ's bypassed loads need ("equality tests ... are unsafe
-  in the presence of aliasing, necessitating tags").  Each entry also holds
-  the store's low-order address bits and access size so that partial-word
-  shift predictions can be verified without replay (Section 3.5).  Per the
-  paper's configuration each entry is 8 bytes: a 20-bit SSN, 3-bit offset,
-  3-bit size, and a 38-bit tag; 128 entries, 4-way.  A misaligned store
-  that straddles two words also records, in the second word's entry, that
-  it began in the word before (a negative offset); the paper's aligned
-  Alpha stores never need that extra bit.
-
-Both filters track addresses at 8-byte-word granularity.  On a tag miss the
+The filter tracks addresses at 8-byte-word granularity.  On a tag miss the
 T-SSBF cannot prove the load safe against stores whose entries were evicted,
 so each set maintains the maximum SSN it ever evicted; the inequality test
 compares against this watermark, keeping the filter conservative.
@@ -44,21 +42,20 @@ class SSBFEntry:
         return max(self.offset, 0), min(self.offset + self.size, 8)
 
 
-def _words_touched(addr: int, size: int) -> range:
-    first = addr >> _WORD_SHIFT
-    last = (addr + size - 1) >> _WORD_SHIFT
-    return range(first, last + 1)
-
-
 class TaggedSSBF:
     """Tagged, set-associative SSBF with FIFO replacement per set."""
 
     def __init__(self, entries: int = 128, assoc: int = 4) -> None:
-        if entries % assoc:
-            raise ValueError("entries must be a multiple of associativity")
+        if assoc < 1 or entries < assoc or entries % assoc:
+            raise ValueError(
+                f"T-SSBF entries ({entries}) must be a positive multiple of "
+                f"its associativity ({assoc})"
+            )
         self.num_sets = entries // assoc
         if self.num_sets & (self.num_sets - 1):
-            raise ValueError("number of sets must be a power of two")
+            raise ValueError(
+                f"T-SSBF set count ({self.num_sets}) must be a power of two"
+            )
         self.assoc = assoc
         self._index_mask = self.num_sets - 1
         self._tag_shift = self.num_sets.bit_length() - 1
@@ -146,40 +143,4 @@ class TaggedSSBF:
         for entries in self._sets:
             entries.clear()
         self._evicted = [0] * self.num_sets
-        self.max_recorded_ssn = 0
-
-
-class UntaggedSSBF:
-    """The original direct-mapped untagged SSBF (inequality tests only)."""
-
-    def __init__(self, entries: int = 1024) -> None:
-        if entries & (entries - 1):
-            raise ValueError("entry count must be a power of two")
-        self.entries = entries
-        self._ssns = [0] * entries
-        #: Same global watermark as :attr:`TaggedSSBF.max_recorded_ssn`.
-        self.max_recorded_ssn = 0
-        self.updates = 0
-        self.lookups = 0
-
-    def _index(self, word: int) -> int:
-        return word & (self.entries - 1)
-
-    def update(self, addr: int, size: int, ssn: int) -> None:
-        self.updates += 1
-        if ssn > self.max_recorded_ssn:
-            self.max_recorded_ssn = ssn
-        for word in _words_touched(addr, size):
-            index = self._index(word)
-            if ssn > self._ssns[index]:
-                self._ssns[index] = ssn
-
-    def youngest_store_ssn(self, addr: int, size: int) -> int:
-        self.lookups += 1
-        return max(
-            self._ssns[self._index(word)] for word in _words_touched(addr, size)
-        )
-
-    def clear(self) -> None:
-        self._ssns = [0] * self.entries
         self.max_recorded_ssn = 0

@@ -61,19 +61,6 @@ def job_key(job: Job) -> str:
     source = source_identity(job.benchmark)
     if source is not None:
         payload["source"] = source
-    # Configs selecting registered components fold the registration's
-    # identity (name:v<version>) into the key, so bumping a component's
-    # version invalidates its cached results — exactly as generator
-    # versions do for trace sources.  Default-only configs contribute
-    # nothing extra, keeping their historical keys byte-stable.
-    from repro.api.components import component_identity, selected_components
-
-    impls = selected_components(job.config)
-    if impls:
-        payload["components"] = {
-            kind: component_identity(kind, name) or name
-            for kind, name in impls.items()
-        }
     digest = hashlib.sha256(canonical_json(payload).encode("utf-8"))
     return digest.hexdigest()
 

@@ -57,22 +57,8 @@ def canonical_json(value: Any) -> str:
 # --------------------------------------------------------------------- #
 
 def config_to_dict(config: MachineConfig) -> dict[str, Any]:
-    """Every field of *config*, nested dataclasses included.
-
-    Component-selector fields (:data:`repro.api.components.IMPL_FIELDS`)
-    at their ``"default"`` value are omitted: the selectors postdate the
-    cache, and omitting the default keeps every historical cache key
-    byte-stable while non-default selections still change the key.
-    :func:`config_from_dict` restores them from the dataclass defaults.
-    """
-    # Imported lazily: repro.api builds on this package.
-    from repro.api.components import IMPL_FIELDS
-
-    data = jsonify(config)
-    for field in IMPL_FIELDS.values():
-        if data.get(field) == "default":
-            del data[field]
-    return data
+    """Every field of *config*, nested dataclasses included."""
+    return jsonify(config)
 
 
 def config_from_dict(data: dict[str, Any]) -> MachineConfig:

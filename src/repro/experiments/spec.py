@@ -60,9 +60,9 @@ class CampaignSpec:
 
     ``configs`` entries may be :class:`MachineConfig` objects or config
     spec strings (``nosq?backend.rob_size=256``, ``conventional@256``),
-    resolved through the registry (:mod:`repro.api.configs`) — the config
-    axis is string-addressable exactly like the benchmark axis.  The
-    default is the ``standard`` config set."""
+    resolved through :mod:`repro.api.configs` — the config axis is
+    string-addressable exactly like the benchmark axis.  The default is
+    the ``standard`` config set."""
 
     benchmarks: Sequence[str]
     configs: Sequence[MachineConfig | str] = field(

@@ -40,8 +40,16 @@ class HybridBranchPredictor:
     """
 
     def __init__(self, table_entries: int = 4096, history_bits: int = 12) -> None:
-        if table_entries & (table_entries - 1):
-            raise ValueError("table size must be a power of two")
+        if table_entries < 1 or table_entries & (table_entries - 1):
+            raise ValueError(
+                f"branch predictor table size must be a power of two, "
+                f"got {table_entries}"
+            )
+        if history_bits < 0:
+            raise ValueError(
+                f"branch predictor history bits must be at least 0, "
+                f"got {history_bits}"
+            )
         self.table_entries = table_entries
         self.history_bits = history_bits
         self._mask = table_entries - 1
@@ -101,11 +109,16 @@ class BTB:
     """
 
     def __init__(self, entries: int = 2048, assoc: int = 4) -> None:
-        if entries % assoc:
-            raise ValueError("entries must be a multiple of associativity")
+        if assoc < 1 or entries < assoc or entries % assoc:
+            raise ValueError(
+                f"BTB entries ({entries}) must be a positive multiple of "
+                f"its associativity ({assoc})"
+            )
         self.num_sets = entries // assoc
         if self.num_sets & (self.num_sets - 1):
-            raise ValueError("number of sets must be a power of two")
+            raise ValueError(
+                f"BTB set count ({self.num_sets}) must be a power of two"
+            )
         self.assoc = assoc
         self._sets: list[dict[int, int]] = [dict() for _ in range(self.num_sets)]
 
@@ -128,6 +141,8 @@ class ReturnAddressStack:
     """Fixed-depth return address stack (32 entries in the paper)."""
 
     def __init__(self, depth: int = 32) -> None:
+        if depth < 1:
+            raise ValueError(f"RAS depth must be at least 1, got {depth}")
         self.depth = depth
         self._stack: list[int] = []
 

@@ -52,14 +52,24 @@ class Cache:
         line_bytes: int = 64,
         name: str = "cache",
     ) -> None:
-        if size_bytes % (assoc * line_bytes):
-            raise ValueError("cache size must be a multiple of assoc * line size")
+        if line_bytes < 1 or line_bytes & (line_bytes - 1):
+            raise ValueError(
+                f"{name} line size must be a power of two, got {line_bytes}"
+            )
+        way_bytes = assoc * line_bytes
+        if assoc < 1 or size_bytes < way_bytes or size_bytes % way_bytes:
+            raise ValueError(
+                f"{name} size ({size_bytes}) must be a positive multiple of "
+                f"assoc * line size ({assoc} * {line_bytes})"
+            )
         self.size_bytes = size_bytes
         self.assoc = assoc
         self.line_bytes = line_bytes
-        self.num_sets = size_bytes // (assoc * line_bytes)
+        self.num_sets = size_bytes // way_bytes
         if self.num_sets & (self.num_sets - 1):
-            raise ValueError("number of sets must be a power of two")
+            raise ValueError(
+                f"{name} set count ({self.num_sets}) must be a power of two"
+            )
         self.name = name
         self.stats = CacheStats()
         self._sets: list[dict[int, bool]] = [dict() for _ in range(self.num_sets)]

@@ -36,11 +36,16 @@ class TLB:
         page_bytes: int = 4096,
         miss_penalty: int = 30,
     ) -> None:
-        if entries % assoc:
-            raise ValueError("entry count must be a multiple of associativity")
+        if assoc < 1 or entries < assoc or entries % assoc:
+            raise ValueError(
+                f"TLB entries ({entries}) must be a positive multiple of "
+                f"its associativity ({assoc})"
+            )
         self.num_sets = entries // assoc
         if self.num_sets & (self.num_sets - 1):
-            raise ValueError("number of sets must be a power of two")
+            raise ValueError(
+                f"TLB set count ({self.num_sets}) must be a power of two"
+            )
         self.assoc = assoc
         self.page_bytes = page_bytes
         self.miss_penalty = miss_penalty

@@ -115,16 +115,6 @@ class MachineConfig:
     # Safety valve for the cycle loop.
     max_cycles_per_inst: int = 400
 
-    # Pluggable component implementations (see :mod:`repro.api.components`).
-    # "default" selects the built-in model; any other value names a factory
-    # registered with ``register_bypass_predictor``/``register_scheduler``/
-    # ``register_memory_hierarchy``.  Default-valued selectors are omitted
-    # from the serialized form (:func:`repro.experiments.codec.config_to_dict`)
-    # so historical campaign cache keys stay byte-stable.
-    bypass_predictor_impl: str = "default"
-    scheduler_impl: str = "default"
-    hierarchy_impl: str = "default"
-
     # ------------------------------------------------------------------ #
 
     @staticmethod
@@ -179,8 +169,10 @@ class MachineConfig:
 
 
 #: Smallest value each window size may take: below it the pipeline can
-#: never dispatch or commit (or, for ``ssn_bits``, drains on every store).
+#: never dispatch or commit (or, for ``ssn_bits``, drains on every store;
+#: a negative ``exec_delay`` issues before dispatch and livelocks).
 _SIZE_FLOORS = {
+    "exec_delay": 0,
     "width": 1,
     "commit_width": 1,
     "max_branches_per_group": 1,
@@ -194,10 +186,11 @@ _SIZE_FLOORS = {
 def check_window(config: MachineConfig) -> None:
     """Raise ValueError naming the first window size *config* cannot run.
 
-    The one range check on the sizes ``Processor`` reads: spec resolution
-    (:func:`repro.api.configs.apply_overrides`) calls it so a bad override
-    fails before a run starts, and ``Processor.__init__`` calls it for
-    configs built in code.
+    The one range check on the window sizes ``Processor`` reads;
+    ``Processor.__init__`` calls it, and each structure's constructor
+    checks its own geometry.  Spec resolution
+    (:func:`repro.api.configs.apply_overrides`) builds a ``Processor`` so
+    a bad override fails before a run starts.
     """
     for name, floor in _SIZE_FLOORS.items():
         value = getattr(config, name)
@@ -219,24 +212,6 @@ def check_window(config: MachineConfig) -> None:
             f"sq_size must be 0 on NoSQ, which has no store queue, "
             f"got {config.sq_size}"
         )
-
-
-def uses_load_scheduler(config: MachineConfig) -> bool:
-    """Whether the pipeline builds a load scheduler (the StoreSets slot).
-
-    The canonical build gate: ``Processor.__init__`` constructs the
-    scheduler exactly when this holds, and the component registry
-    (:mod:`repro.api.components`) validates ``scheduler_impl`` selectors
-    against it."""
-    return (config.mode is Mode.CONVENTIONAL
-            and config.scheduler is SchedulerKind.STORESETS)
-
-
-def uses_bypass_predictor(config: MachineConfig) -> bool:
-    """Whether the pipeline builds a bypassing predictor (see
-    :func:`uses_load_scheduler` for the contract)."""
-    return ((config.mode is Mode.NOSQ and config.bypass is BypassKind.REAL)
-            or config.smb_opportunistic)
 
 
 def scale_window(config: MachineConfig, window: int) -> MachineConfig:

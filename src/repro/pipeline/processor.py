@@ -55,8 +55,6 @@ from repro.pipeline.config import (
     Mode,
     SchedulerKind,
     check_window,
-    uses_bypass_predictor,
-    uses_load_scheduler,
 )
 from repro.pipeline.stats import RunStats
 from repro.predictors.store_sets import StoreSets
@@ -91,10 +89,7 @@ class Processor:
     def __init__(self, config: MachineConfig) -> None:
         check_window(config)
         self.config = config
-        self.hierarchy = self._component(
-            "hierarchy", config.hierarchy_impl, True,
-            lambda: MemoryHierarchy(config.hierarchy),
-        )
+        self.hierarchy = MemoryHierarchy(config.hierarchy)
         self.tlb = TLB(
             entries=config.tlb_entries,
             assoc=config.tlb_assoc,
@@ -154,14 +149,20 @@ class Processor:
         # (SSNcommit advances in the final back-end stage), so the live SSN
         # span can exceed the ROB by the back-end drain backlog.
         self.srq = StoreRegisterQueue(capacity=2 * max(config.rob_size, 64))
-        self.store_sets = self._component(
-            "scheduler", config.scheduler_impl, uses_load_scheduler(config),
-            StoreSets,
+        #: StoreSets schedules loads only on the conventional machine; the
+        #: bypassing predictor runs on NoSQ with real bypassing prediction
+        #: and under opportunistic SMB.
+        self.store_sets = (
+            StoreSets()
+            if config.mode is Mode.CONVENTIONAL
+            and config.scheduler is SchedulerKind.STORESETS
+            else None
         )
-        self.bypass_predictor = self._component(
-            "bypass_predictor", config.bypass_predictor_impl,
-            uses_bypass_predictor(config),
-            lambda: BypassingPredictor(config.bypass_predictor),
+        self.bypass_predictor = (
+            BypassingPredictor(config.bypass_predictor)
+            if (config.mode is Mode.NOSQ and config.bypass is BypassKind.REAL)
+            or config.smb_opportunistic
+            else None
         )
         self.stats = RunStats(config_name=config.name)
 
@@ -209,29 +210,6 @@ class Processor:
         # Loop-invariant stage contexts, populated by run().
         self._dispatch_ctx: tuple = ()
         self._commit_ctx: tuple = ()
-
-    def _component(self, kind: str, impl: str, applicable: bool, default):
-        """Build pipeline component *kind*, or None if the config never
-        uses one (*applicable* is its build gate from
-        repro.pipeline.config, shared with spec-time validation).
-
-        A non-"default" selector resolves through the registry
-        (repro.api.components), imported lazily so the default path stays
-        registry-free.  A selector on a config that never builds the
-        component fails loudly: it would otherwise be ignored while still
-        changing the cache key.
-        """
-        if not applicable:
-            if impl != "default":
-                from repro.api.components import inapplicable_message
-
-                raise ValueError(inapplicable_message(kind, impl, self.config))
-            return None
-        if impl == "default":
-            return default()
-        from repro.api.components import create_component
-
-        return create_component(kind, impl, self.config)
 
     # ------------------------------------------------------------------ #
     # Top level
@@ -1282,8 +1260,7 @@ class Processor:
     def _commit_store(self, entry: InFlightInst, cycle: int) -> None:
         inst = entry.inst
         visible = self.commit_pipeline.store_commit(cycle, inst.addr, inst.size)
-        # svw.store_commit is a pure delegation to the T-SSBF update.
-        self.ssbf.update(inst.addr, inst.size, entry.ssn)
+        self.svw.store_commit(inst.addr, inst.size, entry.ssn)
         if len(self._visible_cycles) != inst.store_seq:
             raise SimulationError("store visibility timeline out of order")
         self._visible_cycles.append(visible)
@@ -1463,19 +1440,9 @@ class Processor:
                 )
                 if ssn_nvul < 0:
                     ssn_nvul = 0
-            # SVWFilter.test_nonbypassing inlined (once per committed
-            # non-bypassed load); keep in sync with repro.core.svw.
-            svw_stats = self.svw.stats
-            svw_stats.nonbypassing_tests += 1
-            ssbf = self.ssbf
-            if ssbf.max_recorded_ssn <= ssn_nvul:
-                needs_reexec = False
-            else:
-                needs_reexec = (
-                    ssbf.youngest_store_ssn(inst.addr, inst.size) > ssn_nvul
-                )
-                if needs_reexec:
-                    svw_stats.nonbypassing_reexecs += 1
+            needs_reexec = self.svw.test_nonbypassing(
+                inst.addr, inst.size, ssn_nvul
+            )
             if not self.config.svw_enabled:
                 # Unfiltered: any load that executed with older stores in
                 # flight is speculative and must re-execute.

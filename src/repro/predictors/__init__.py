@@ -1,19 +1,14 @@
 """Store-load dependence predictors.
 
 * :class:`StoreSets` -- the Chrysos/Emer predictor used for load scheduling
-  by the paper's realistic conventional baseline.
-* :class:`PerfectScheduler` -- oracle load scheduling (the normalization
-  baseline of Figures 2 and 3: "associative SQ and perfect load scheduling").
-* :class:`PerfectBypassPredictor` -- oracle bypassing prediction with
-  idealized partial-word support (the "Perfect SMB" bars).
+  by the paper's realistic conventional baseline.  Perfect scheduling and
+  perfect bypassing prediction (the normalization baseline and the
+  "Perfect SMB" bars) are idealizations ``Processor`` implements inline.
 """
 
 from repro.predictors.store_sets import StoreSets, StoreSetsStats
-from repro.predictors.oracle import PerfectBypassPredictor, PerfectScheduler
 
 __all__ = [
     "StoreSets",
     "StoreSetsStats",
-    "PerfectScheduler",
-    "PerfectBypassPredictor",
 ]

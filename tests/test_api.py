@@ -1,50 +1,35 @@
 """Tests for the `repro.api` façade.
 
-Pins the PR's compatibility contract — the five standard presets resolved
-through the registry are bit-identical (fields, names, campaign cache
-keys) to the historical factories — and covers the override grammar,
-serialization round trips, stable hashing, the component registry, and
-the typed `simulate`/`sweep` entry points.
+Pins the compatibility contract — the five standard presets resolve to
+configs bit-identical (fields, names, campaign cache keys) to the
+historical factories — and covers the override grammar, serialization
+round trips, stable hashing, and the typed `simulate`/`sweep` entry
+points.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
 
 import pytest
 
 from repro.api import (
-    ComponentError,
     ConfigSpecError,
-    component_names,
-    config_from_dict,
-    config_from_json,
-    config_from_toml,
     config_hash,
     config_set,
-    config_to_dict,
-    config_to_json,
-    config_to_toml,
-    list_components,
     list_config_sets,
-    list_configs,
-    register_bypass_predictor,
-    register_config,
-    register_memory_hierarchy,
     resolve_config,
     resolve_configs,
     resolve_scale,
     simulate,
     sweep,
-    unregister_component,
-    unregister_config,
 )
 from repro.api.configs import split_spec_list
-from repro.core.bypass_predictor import BypassingPredictor
 from repro.experiments.cache import job_key
+from repro.experiments.codec import config_from_dict, config_to_dict
 from repro.experiments.spec import CampaignSpec, Job
 from repro.harness.runner import SMOKE, ExperimentScale
-from repro.memory.hierarchy import MemoryHierarchy
 from repro.pipeline.config import MachineConfig, SchedulerKind
 from repro.pipeline.processor import Processor
 from repro.workloads import generate_trace
@@ -53,7 +38,7 @@ TINY = ExperimentScale("tiny", num_instructions=2_000, warmup=500)
 
 
 # --------------------------------------------------------------------- #
-# Preset identity: the registry reproduces the seed factories exactly.
+# Preset identity: the presets reproduce the seed factories exactly.
 # --------------------------------------------------------------------- #
 
 FACTORY_PAIRS = [
@@ -85,19 +70,39 @@ class TestPresetIdentity:
     @pytest.mark.parametrize("spec,factory", FACTORY_PAIRS,
                              ids=[s for s, _ in FACTORY_PAIRS])
     def test_campaign_cache_keys_identical(self, spec, factory):
-        """The acceptance-criteria pin: registry-resolved presets address
+        """The acceptance-criteria pin: spec-resolved presets address
         exactly the seed factories' cache entries."""
-        via_registry = Job("gzip", resolve_config(spec), SMOKE, 17)
+        via_spec = Job("gzip", resolve_config(spec), SMOKE, 17)
         via_factory = Job("gzip", factory, SMOKE, 17)
-        assert job_key(via_registry) == job_key(via_factory)
+        assert job_key(via_spec) == job_key(via_factory)
 
-    def test_component_selectors_absent_from_serialized_form(self):
-        """Default-valued impl selectors must not appear in the codec
-        output, or every historical cache key would change."""
-        data = config_to_dict(MachineConfig.nosq())
-        assert "bypass_predictor_impl" not in data
-        assert "scheduler_impl" not in data
-        assert "hierarchy_impl" not in data
+    @pytest.mark.parametrize("window,spec,digest", [
+        (128, "conventional-perfect",
+         "ea2a2bab15213e7144aaf0f465d4679a2604a8e25b2ddbf6948e460ded1672ae"),
+        (128, "conventional",
+         "464032cf43cee83fc214a5b22cc739a96f7fa3967811179c6ddd2e3fdac70326"),
+        (128, "nosq-nodelay",
+         "df4bba2cb3dc2640fe06b0c6e42eb279f0464c7adc528392e3b4eb3ade10e744"),
+        (128, "nosq",
+         "25dc8095fa38eb6b50d7d2bae3c9c84fe6ca7ed3126988d8a10f41da690db61a"),
+        (128, "nosq-perfect",
+         "a64506aec20b8de1fb8dcbca39e31b13f855501936e5e624f15ac16a0f130873"),
+        (256, "conventional-perfect",
+         "12ec350bd0e47876cc9b647e496055fb6ecb2548690ea693eb72a1a58e008a68"),
+        (256, "conventional",
+         "aef4241de6383cc401f4b341aac60c711eefce78833b4ede1e9c2be2ddf0b4f6"),
+        (256, "nosq-nodelay",
+         "4fdfdb963918ee62a704a4a649900057efe1c571c49e5d83803fa7a3b6077596"),
+        (256, "nosq",
+         "12a8d9ee0677f7c5283d30770630b49bd95e65dd1bb6d96eddf0c4c28239f1f9"),
+        (256, "nosq-perfect",
+         "220c8b9d9d87179bfdfb2e07adb7703b4f8457838ab407befa933cc8d2f7f396"),
+    ])
+    def test_config_hash_pinned(self, window, spec, digest):
+        """The standard presets' share of every campaign cache key, as
+        literal digests: a field added to, removed from or renamed in
+        the serialized config changes them and orphans existing caches."""
+        assert config_hash(resolve_config(spec, window)) == digest
 
     def test_standard_configs_shim(self):
         configs = config_set("standard")
@@ -189,7 +194,8 @@ class TestValidationErrors:
         ("nosq?rob_size=1,rob_size=2", "duplicate override"),
         ("nosq?a.b.c=1", "nest at most one level"),
         ("standard", "is a config *set*"),
-        ("nosq?bypass.impl=nope", "no registered bypass_predictor"),
+        # The retired component-selector key is an unknown key.
+        ("nosq?bypass.impl = nope", "unknown key 'impl'"),
         ("nosq?backend.rob_size=0", "rob_size must be at least 1"),
         ("nosq?backend.iq_size=0", "iq_size must be at least 1"),
         ("nosq?backend.phys_regs=10", "phys_regs must be at least 65"),
@@ -199,6 +205,24 @@ class TestValidationErrors:
         ("nosq?backend.lq_size=0", "lq_size must be at least 1"),
         ("conventional?lq_size=0", "lq_size must be at least 1"),
         ("nosq?width=0", "width must be at least 1"),
+        ("nosq?exec_delay=-5", "exec_delay must be at least 0"),
+        ("nosq?btb_assoc=0", "BTB entries (2048) must be a positive"),
+        ("nosq?btb_entries=24", "BTB set count (6) must be a power of two"),
+        ("conventional?ras_depth=0", "RAS depth must be at least 1"),
+        ("nosq?tlb_entries=0", "TLB entries (0) must be a positive"),
+        ("nosq?tlb_assoc=0", "TLB entries (128) must be a positive"),
+        ("nosq?hierarchy.l1_assoc=0", "L1D size (65536) must be a positive"),
+        ("nosq?hierarchy.l1_size=3", "L1D size (3) must be a positive"),
+        ("nosq?hierarchy.l2_size=0", "L2 size (0) must be a positive"),
+        ("nosq?hierarchy.line_bytes=0", "line size must be a power of two"),
+        ("nosq?tssbf_entries=3", "T-SSBF entries (3) must be a positive"),
+        ("nosq?tssbf_assoc=0", "T-SSBF entries (128) must be a positive"),
+        ("nosq?bp_table_entries=3", "table size must be a power of two"),
+        ("nosq?bp_table_entries=0", "table size must be a power of two"),
+        ("nosq?bp_history_bits=-1", "history bits must be at least 0"),
+        ("nosq?bypass.history_bits=-1", "history_bits must be at least 0"),
+        ("nosq?bypass.assoc=0", "entries_per_table (1024) must be a"),
+        ("conventional-smb?bypass.tag_bits=-1", "tag_bits must be at least 0"),
     ])
     def test_error_messages(self, spec, fragment):
         with pytest.raises(ConfigSpecError) as excinfo:
@@ -270,74 +294,16 @@ class TestSpecLists:
         ]
 
     def test_same_name_different_config_conflicts(self):
-        register_config(
-            "imposter",
-            lambda window: dataclasses.replace(
-                MachineConfig.nosq(window), rob_size=64
-            ),
-        )
-        try:
-            with pytest.raises(ConfigSpecError, match="conflicting"):
-                resolve_configs("nosq,imposter")
-        finally:
-            unregister_config("imposter")
+        imposter = dataclasses.replace(MachineConfig.nosq(), rob_size=64)
+        with pytest.raises(ConfigSpecError, match="conflicting"):
+            resolve_configs(["nosq", imposter])
 
     def test_no_match_glob(self):
         with pytest.raises(ConfigSpecError, match="matches no preset"):
             resolve_configs("xyz*")
 
-    def test_user_registered_preset(self):
-        register_config(
-            "nosq-tiny-rob",
-            dataclasses.replace(MachineConfig.nosq(), name="nosq-tiny-rob",
-                                rob_size=32),
-            description="test preset",
-        )
-        try:
-            assert resolve_config("nosq-tiny-rob").rob_size == 32
-            # Instance-registered presets are fixed machines: re-applying
-            # the paper's window scaling to an arbitrary base would
-            # compound resources, so @window is an explicit error.
-            with pytest.raises(ConfigSpecError,
-                               match="does not support @window"):
-                resolve_config("nosq-tiny-rob@256")
-            assert "nosq-tiny-rob" in list_configs()
-        finally:
-            unregister_config("nosq-tiny-rob")
-        with pytest.raises(ConfigSpecError):
-            resolve_config("nosq-tiny-rob")
-
     def test_config_sets_listed(self):
         assert set(list_config_sets()) >= {"standard", "table5", "figure4"}
-
-    def test_replace_cannot_hijack_other_names(self):
-        # replace=True only exempts the preset being replaced: an alias
-        # must not silently shadow another preset's canonical name or a
-        # set name.
-        factory = MachineConfig.nosq
-        with pytest.raises(ConfigSpecError, match="already registered"):
-            register_config("hijacker", lambda window: factory(window),
-                            aliases=("conventional",), replace=True)
-        with pytest.raises(ConfigSpecError, match="already registered"):
-            register_config("standard", lambda window: factory(window),
-                            replace=True)
-        assert resolve_config("conventional").name == "sq-storesets"
-
-    def test_replace_rebinds_own_aliases(self):
-        register_config("replaceme", lambda window: MachineConfig.nosq(window),
-                        aliases=("replaceme-alias",))
-        try:
-            register_config(
-                "replaceme",
-                lambda window: MachineConfig.nosq(window, delay=False),
-                aliases=("replaceme-alias2",), replace=True,
-            )
-            assert resolve_config("replaceme").name == "nosq-nodelay"
-            assert resolve_config("replaceme-alias2").name == "nosq-nodelay"
-            with pytest.raises(ConfigSpecError):
-                resolve_config("replaceme-alias")   # stale alias dropped
-        finally:
-            unregister_config("replaceme")
 
 
 # --------------------------------------------------------------------- #
@@ -358,15 +324,18 @@ class TestSerialization:
     def test_dict_json_toml_round_trips(self, spec):
         config = resolve_config(spec)
         assert config_from_dict(config_to_dict(config)) == config
-        assert config_from_json(config_to_json(config)) == config
-        assert config_from_toml(config_to_toml(config)) == config
+        assert config_from_dict(
+            json.loads(json.dumps(config_to_dict(config)))
+        ) == config
 
     @pytest.mark.parametrize("spec", ROUND_TRIP_SPECS)
     def test_hash_stable_across_round_trips(self, spec):
         config = resolve_config(spec)
         digest = config_hash(config)
-        assert config_hash(config_from_json(config_to_json(config))) == digest
-        assert config_hash(config_from_toml(config_to_toml(config))) == digest
+        assert config_hash(config_from_dict(config_to_dict(config))) == digest
+        assert config_hash(config_from_dict(
+            json.loads(json.dumps(config_to_dict(config)))
+        )) == digest
 
     def test_hash_tracks_every_field(self):
         base = config_hash(resolve_config("nosq"))
@@ -374,165 +343,6 @@ class TestSerialization:
         assert config_hash(
             resolve_config("nosq?bypass.history_bits=9")
         ) != base
-
-    def test_toml_is_parseable_and_sectioned(self):
-        text = config_to_toml(resolve_config("nosq"))
-        assert "[backend]" in text
-        assert "[bypass_predictor]" in text
-        assert "[hierarchy]" in text
-        assert 'lq_size = "none"' in text
-
-    def test_bad_toml_raises(self):
-        with pytest.raises(ConfigSpecError, match="invalid config TOML"):
-            config_from_toml("not [valid")
-
-    def test_toml_none_sentinel_only_for_optional_fields(self):
-        # A *string* field legitimately holding "none" (a component
-        # registered under that name) must survive the round trip; only
-        # Optional fields map "none" back to null.
-        register_bypass_predictor(
-            "none", lambda config: BypassingPredictor(
-                config.bypass_predictor
-            ),
-        )
-        try:
-            config = resolve_config("nosq?bypass.impl=none")
-            assert config.bypass_predictor_impl == "none"
-            restored = config_from_toml(config_to_toml(config))
-            assert restored == config
-            assert restored.bypass_predictor_impl == "none"
-            assert restored.lq_size is None
-        finally:
-            unregister_component("bypass_predictor", "none")
-
-
-# --------------------------------------------------------------------- #
-# Component registry
-# --------------------------------------------------------------------- #
-
-@pytest.fixture
-def sticky_predictor():
-    register_bypass_predictor(
-        "sticky-test",
-        lambda config: BypassingPredictor(
-            dataclasses.replace(config.bypass_predictor, conf_dec=127)
-        ),
-        description="full confidence reset on misprediction",
-    )
-    yield "sticky-test"
-    unregister_component("bypass_predictor", "sticky-test")
-
-
-@pytest.fixture
-def passthrough_hierarchy():
-    register_memory_hierarchy(
-        "passthrough-test",
-        lambda config: MemoryHierarchy(config.hierarchy),
-    )
-    yield "passthrough-test"
-    unregister_component("hierarchy", "passthrough-test")
-
-
-class TestComponents:
-    def test_registered_component_is_listed(self, sticky_predictor):
-        assert sticky_predictor in component_names("bypass_predictor")
-        listing = list_components()
-        assert "default" in listing["bypass_predictor"]
-        assert sticky_predictor in listing["bypass_predictor"]
-
-    def test_selected_through_override_string(self, sticky_predictor):
-        trace = generate_trace("vortex", TINY.num_instructions, seed=17)
-        default = Processor(resolve_config("nosq")).run(
-            trace, warmup=TINY.warmup
-        )
-        sticky = Processor(
-            resolve_config(f"nosq?bypass.impl={sticky_predictor}")
-        ).run(trace, warmup=TINY.warmup)
-        assert sticky.instructions == default.instructions
-        # The sticky policy delays more aggressively after mispredictions.
-        assert sticky.delayed_loads >= default.delayed_loads
-
-    def test_selector_changes_cache_key(self, sticky_predictor):
-        plain = resolve_config("nosq")
-        custom = resolve_config(f"nosq?bypass.impl={sticky_predictor}")
-        assert config_hash(custom) != config_hash(plain)
-        data = config_to_dict(custom)
-        assert data["bypass_predictor_impl"] == sticky_predictor
-        assert config_from_dict(data) == custom
-
-    def test_component_version_changes_cache_key(self, sticky_predictor):
-        """Re-registering a component with a bumped version invalidates
-        its cached campaign results (mirrors trace-source content ids);
-        default-only configs never gain a components key."""
-        custom = resolve_config(f"nosq?bypass.impl={sticky_predictor}")
-        job = Job("gzip", custom, SMOKE, 17)
-        key_v0 = job_key(job)
-        register_bypass_predictor(
-            sticky_predictor,
-            lambda config: BypassingPredictor(config.bypass_predictor),
-            replace=True, version=1,
-        )
-        assert job_key(job) != key_v0
-        # The plain preset's key is untouched by registrations.
-        plain_job = Job("gzip", resolve_config("nosq"), SMOKE, 17)
-        key_plain = job_key(plain_job)
-        assert key_plain == job_key(plain_job)
-
-    def test_identical_reimplementation_is_bit_identical(
-        self, passthrough_hierarchy
-    ):
-        trace = generate_trace("gzip", TINY.num_instructions, seed=17)
-        default = Processor(resolve_config("nosq")).run(
-            trace, warmup=TINY.warmup
-        )
-        swapped = Processor(
-            resolve_config(f"nosq?hierarchy.impl={passthrough_hierarchy}")
-        ).run(trace, warmup=TINY.warmup)
-        assert dataclasses.replace(swapped, config_name="") == \
-            dataclasses.replace(default, config_name="")
-
-    def test_component_sweep_with_worker_pool(self, sticky_predictor):
-        """Jobs whose configs select registered components run inline
-        (the per-process registry can't ship to spawn-started workers);
-        mixed groups are split so the default-impl configs still pool.
-        jobs=2 must complete and match a serial run bit-for-bit."""
-        spec = f"nosq,nosq?bypass.impl={sticky_predictor},conventional"
-        serial = sweep(spec, ["gzip", "mcf"], scale=TINY, jobs=1)
-        pooled = sweep(spec, ["gzip", "mcf"], scale=TINY, jobs=2)
-        for bench in ("gzip", "mcf"):
-            for name in serial.config_names:
-                assert serial.stats(bench, name) == pooled.stats(bench, name)
-
-    def test_unknown_component_suggests(self, sticky_predictor):
-        with pytest.raises(ConfigSpecError, match="did you mean"):
-            resolve_config("nosq?bypass.impl=sticky-tst")
-
-    def test_reserved_name_rejected(self):
-        with pytest.raises(ComponentError):
-            register_bypass_predictor("default", lambda config: None)
-
-    def test_ineffective_selector_fails_loudly(self, sticky_predictor):
-        """A selector on a config that never instantiates the component
-        must raise, not silently run the stock machine under a
-        component-tagged cache key."""
-        # At spec-resolution time (before any cache key is planned)...
-        with pytest.raises(ConfigSpecError, match="has no effect"):
-            resolve_config(f"nosq-perfect?bypass.impl={sticky_predictor}")
-        # ...and at processor construction for programmatic configs.
-        with pytest.raises(ValueError, match="has no effect"):
-            Processor(dataclasses.replace(
-                MachineConfig.nosq(perfect=True),
-                bypass_predictor_impl=sticky_predictor,
-            ))
-        # Scheduler components only exist on conventional+storesets.
-        from repro.api import register_scheduler
-
-        register_scheduler("probe-test", lambda config: None)
-        try:
-            with pytest.raises(ConfigSpecError, match="has no effect"):
-                resolve_config("nosq?scheduler.impl=probe-test")
-        finally:
-            unregister_component("scheduler", "probe-test")
 
 
 # --------------------------------------------------------------------- #
@@ -615,15 +425,6 @@ class TestSweep:
         assert "sq-storesets?rob_size=96" in runs
         assert second.stats("gzip", "nosq-delay").ipc == \
             second.stats("gzip", MachineConfig.nosq()).ipc
-
-    def test_inline_component_jobs_emit_note(self, sticky_predictor):
-        events = []
-        sweep(f"nosq?bypass.impl={sticky_predictor},conventional",
-              ["gzip"], scale=TINY, jobs=2, progress=events.append)
-        notes = [e for e in events if e.kind == "note"]
-        assert notes, "expected a note about inline component jobs"
-        assert "registered components" in notes[0].benchmark
-        assert notes[0].describe().startswith("note:")
 
     def test_campaign_spec_accepts_spec_strings(self):
         spec = CampaignSpec(

@@ -100,11 +100,17 @@ class TestCommands:
         assert "did you mean 'rob_size'" in capsys.readouterr().err
 
     def test_run_out_of_range_size_exits_2(self, capsys):
-        assert main(["run", "nosq?backend.rob_size=0", "gzip",
-                     "-n", "2000"]) == 2
-        err = capsys.readouterr().err
-        assert "rob_size must be at least 1" in err
-        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+        # A window size (check_window) and a structure geometry (the BTB
+        # constructor's own rule) fail the same way.
+        for spec, fragment in [
+            ("nosq?backend.rob_size=0", "rob_size must be at least 1"),
+            ("nosq?btb_assoc=0", "BTB entries (2048) must be a positive"),
+        ]:
+            assert main(["run", spec, "gzip", "-n", "2000"]) == 2
+            err = capsys.readouterr().err
+            assert fragment in err
+            assert "Traceback" not in err
+            assert len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize("length", ["0", "-5"])
     def test_run_nonpositive_length_exits_2(self, capsys, length):
@@ -158,7 +164,6 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "conventional-perfect" in out
         assert "nosq-nodelay" in out
-        assert "bypass_predictor" in out
         assert "config set" in out
 
 

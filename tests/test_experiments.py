@@ -357,6 +357,14 @@ class TestCampaignCli:
         assert main(["campaign", "run", "quake3"]) == 2
         assert "unknown benchmarks" in capsys.readouterr().err
 
+    def test_rejects_unbuildable_config(self, capsys):
+        assert main(["campaign", "run", "gzip", "-n", "2000",
+                     "--configs", "nosq?hierarchy.l1_assoc=0"]) == 2
+        err = capsys.readouterr().err
+        assert "L1D size (65536) must be a positive" in err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_rejects_zero_jobs(self, capsys):
         assert main(["campaign", "run", "gzip", "--jobs", "0"]) == 2
         assert "--jobs" in capsys.readouterr().err

@@ -1,7 +1,6 @@
-"""Tests for StoreSets and the oracle predictors."""
+"""Tests for the StoreSets load-scheduling predictor."""
 
-from repro.predictors import PerfectBypassPredictor, PerfectScheduler, StoreSets
-from tests.conftest import build_trace
+from repro.predictors import StoreSets
 
 
 class TestStoreSets:
@@ -69,47 +68,3 @@ class TestStoreSets:
         predictor.store_renamed(0x2000, object())
         predictor.load_dependence(0x1000)
         assert predictor.stats.load_waits == 1
-
-
-class TestPerfectScheduler:
-    def test_blocking_stores(self):
-        trace = build_trace([
-            ("st", 0x100, 1, 8),
-            ("st", 0x101, 1, 8),
-            ("ld", 0x100, 2),
-        ])
-        assert PerfectScheduler.blocking_stores(trace[2]) == (0, 1)
-
-    def test_memory_load_has_no_blockers(self):
-        trace = build_trace([("ld", 0x100, 8)])
-        assert PerfectScheduler.blocking_stores(trace[0]) == ()
-
-
-class TestPerfectBypassPredictor:
-    def test_single_source_bypasses_with_shift(self):
-        trace = build_trace([
-            ("st", 0x100, 8, 8),
-            ("ld", 0x104, 4),
-        ])
-        decision = PerfectBypassPredictor.decide(trace[1], {0: 0x100})
-        assert decision.bypass_store == 0
-        assert decision.shift == 4
-        assert decision.wait_stores == ()
-
-    def test_multi_source_waits(self):
-        trace = build_trace([
-            ("st", 0x100, 1, 8),
-            ("st", 0x101, 1, 8),
-            ("ld", 0x100, 2),
-        ])
-        decision = PerfectBypassPredictor.decide(
-            trace[2], {0: 0x100, 1: 0x101}
-        )
-        assert decision.bypass_store == -1
-        assert decision.wait_stores == (0, 1)
-
-    def test_memory_load_plain(self):
-        trace = build_trace([("ld", 0x100, 8)])
-        decision = PerfectBypassPredictor.decide(trace[0], {})
-        assert decision.bypass_store == -1
-        assert decision.wait_stores == ()

@@ -1,8 +1,8 @@
-"""Tests for the tagged and untagged store sequence Bloom filters."""
+"""Tests for the tagged store sequence Bloom filter (T-SSBF)."""
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core import TaggedSSBF, UntaggedSSBF
+from repro.core import TaggedSSBF
 
 
 class TestTaggedSSBF:
@@ -75,26 +75,6 @@ class TestTaggedSSBF:
         assert ssbf.evicted_watermark(0x100) == 0
 
 
-class TestUntaggedSSBF:
-    def test_tracks_youngest(self):
-        ssbf = UntaggedSSBF(entries=64)
-        ssbf.update(0x100, 8, ssn=3)
-        ssbf.update(0x100, 8, ssn=9)
-        assert ssbf.youngest_store_ssn(0x100, 8) == 9
-
-    def test_aliasing_is_conservative(self):
-        """Two addresses sharing an index: the untagged filter may only
-        over-report (forcing spurious re-execution), never under-report."""
-        ssbf = UntaggedSSBF(entries=2)
-        ssbf.update(0x0, 8, ssn=5)
-        ssbf.update(0x10, 8, ssn=2)   # same index as 0x0
-        assert ssbf.youngest_store_ssn(0x0, 8) == 5   # max survives
-
-    def test_cold_is_zero(self):
-        ssbf = UntaggedSSBF(entries=64)
-        assert ssbf.youngest_store_ssn(0x500, 8) == 0
-
-
 class TestFilterSafetyProperty:
     @given(
         st.lists(
@@ -116,25 +96,6 @@ class TestFilterSafetyProperty:
         for ssn, (slot, size, offset) in enumerate(stores, start=1):
             addr = 0x1000 + 8 * slot + (offset % max(1, 9 - size))
             addr -= addr % size   # keep accesses aligned
-            ssbf.update(addr, size, ssn)
-            for byte in range(addr, addr + size):
-                truth[byte] = ssn
-        for byte, true_ssn in truth.items():
-            assert ssbf.youngest_store_ssn(byte, 1) >= true_ssn
-
-    @given(
-        st.lists(
-            st.tuples(st.integers(min_value=0, max_value=200),
-                      st.sampled_from([1, 2, 4, 8])),
-            min_size=1, max_size=80,
-        )
-    )
-    @settings(max_examples=60)
-    def test_untagged_never_underestimates(self, stores):
-        ssbf = UntaggedSSBF(entries=16)
-        truth: dict[int, int] = {}
-        for ssn, (slot, size) in enumerate(stores, start=1):
-            addr = 0x2000 + 8 * slot
             ssbf.update(addr, size, ssn)
             for byte in range(addr, addr + size):
                 truth[byte] = ssn
