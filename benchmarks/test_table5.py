@@ -28,7 +28,7 @@ def test_table5(benchmark, scale):
     )
     publish("table5", render_table5(rows))
 
-    # Shape checks against the paper (see EXPERIMENTS.md for tolerances).
+    # Shape checks against the paper's Table 5, with the tolerances below.
     by_name = {row.name: row for row in rows}
     for row in rows:
         # Trace-level communication statistics track Table 5 closely.

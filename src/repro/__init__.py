@@ -35,7 +35,8 @@ Package map:
 * :mod:`repro.workloads` -- benchmark profiles, generator, programs
 * :mod:`repro.harness` -- Table 5 / Figures 2-5 regeneration
 * :mod:`repro.experiments` -- sharded, cached, resumable campaign engine
-* :mod:`repro.traces` -- pluggable trace sources (benchmark-id registry)
+* :mod:`repro.traces` -- trace sources (the fixed benchmark-id table) and
+  the v2 trace file format
 * :mod:`repro.api` -- the public façade: string-addressable configs
   (built-in presets plus overrides), typed ``simulate``/``sweep`` entry
   points

@@ -1,7 +1,7 @@
 """`repro.api` — the stable public façade.
 
 One import surface for everything above the cycle loop, symmetric with
-the trace-source registry of :mod:`repro.traces`:
+the benchmark ids of :func:`repro.traces.resolve_source`:
 
 * **Configs** (:mod:`repro.api.configs`) — every machine variant is
   addressable by a *config spec* string

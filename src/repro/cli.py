@@ -10,7 +10,7 @@ Installed as the ``repro`` console script (``pip install -e .``);
     repro run 'nosq?backend.rob_size=256' zoo.pchase --scale smoke
     repro run nosq@256 conventional@256 gzip  # several configs, one table
     repro run conventional nosq gzip vortex   # several benchmarks
-    repro list                                # benchmarks, configs, sources
+    repro list                                # benchmarks, configs, zoo
     repro program stack_spill                 # run a mini-ISA program
 
 ``run`` positionals mix freely: anything that resolves as a benchmark id
@@ -36,7 +36,6 @@ results.  The repository benchmark lives in ``perfbench/`` (see
 Traces (sources, formats, importers; see :mod:`repro.traces`)::
 
     python -m repro trace record gzip -o gzip.bt            # v2 binary
-    python -m repro trace convert old.trace.gz new.bt       # v1 -> v2
     python -m repro trace convert events.txt ext.bt         # import external
     python -m repro trace info gzip.bt
     python -m repro trace validate gzip.bt
@@ -90,7 +89,7 @@ from repro.workloads import PROFILES, programs
 
 
 def cmd_list(args) -> int:
-    from repro.traces import list_sources
+    from repro.workloads.zoo import FAMILIES
 
     rows = [
         [p.name, p.suite, f"{p.comm_pct:.1f}", f"{p.partial_pct:.1f}",
@@ -101,16 +100,14 @@ def cmd_list(args) -> int:
         ["benchmark", "suite", "comm%", "partial%", "paper IPC"], rows,
         title="Available benchmark profiles (Table 5 of the paper)",
     ))
-    sources = list_sources()
-    if sources:
-        print()
-        print(render_table(
-            ["source", "description"],
-            [[name, source.describe()] for name, source in
-             sorted(sources.items())],
-            title="Registered trace sources (also campaign benchmarks; "
-                  "trace:<path> and extern:<path> address files directly)",
-        ))
+    print()
+    print(render_table(
+        ["benchmark", "description"],
+        [[f"zoo.{name}", description]
+         for name, (_generate, description) in FAMILIES.items()],
+        title="Workload-zoo families (also campaign benchmarks; "
+              "trace:<path> and extern:<path> address files directly)",
+    ))
     print()
     print(render_table(
         ["preset", "config name", "description"],
@@ -176,9 +173,9 @@ def _split_run_specs(specs):
             return None
         except KeyError as key_error:
             if ":" in spec.split("?", 1)[0]:
-                # source:/trace:/extern:-shaped ids can never be config
-                # specs; the trace registry's message has the right
-                # suggestions.
+                # prefixed ids (trace:/extern:/anything:) can never be
+                # config specs; the benchmark-id message is the right
+                # one.
                 print(key_error.args[0], file=sys.stderr)
                 return None
             try:
@@ -228,8 +225,7 @@ def cmd_run(args) -> int:
         configs = resolve_configs(_DEFAULT_RUN_CONFIGS)
     else:
         configs = _dedup_configs(configs)
-    from repro.isa.tracefile import TraceFormatError
-    from repro.traces import resolve_source
+    from repro.traces import TraceFormatError, resolve_source
 
     for benchmark in benchmarks:
         try:
@@ -293,8 +289,7 @@ def cmd_program(args) -> int:
 
 
 def cmd_validate_run(args) -> int:
-    from repro.isa.tracefile import TraceFormatError
-    from repro.traces import resolve_source
+    from repro.traces import TraceFormatError, resolve_source
     from repro.validate import run_validation
 
     split = _split_run_specs(args.specs)
@@ -375,7 +370,7 @@ def cmd_validate_fuzz(args) -> int:
 
 
 def cmd_validate_shrink(args) -> int:
-    from repro.isa.tracefile import TraceFormatError, load_trace
+    from repro.traces import TraceFormatError, load_trace
     from repro.traces.reprocase import (
         MissingSidecarError,
         load_repro_case,
@@ -456,102 +451,63 @@ def cmd_validate_shrink(args) -> int:
 # --------------------------------------------------------------------- #
 
 
-def _load_any_trace(path: str, source_format: str = "auto"):
-    """Load a native v1/v2 trace or import an external event trace."""
-    import gzip
+def _load_any_trace(path: str):
+    """Load a native v2 trace, or import any other file as an external
+    event trace: the magic bytes decide."""
+    from repro.traces import import_synchrotrace, is_binary_trace, load_trace
 
-    from repro.isa.tracefile import (
-        TraceFormatError,
-        detect_version,
-        load_trace,
-    )
-    from repro.traces import import_synchrotrace
-
-    if source_format == "synchrotrace":
-        return import_synchrotrace(path)
-    try:
-        version = detect_version(path)
-    except TraceFormatError:
-        if source_format == "native":
-            raise
-        # Not a native container: treat as an external event trace.
-        return import_synchrotrace(path)
-    if version == 1 and source_format != "native":
-        # The gzip magic alone cannot distinguish a v1 trace from a
-        # gzip-compressed external event trace; v1 files always open
-        # with a JSON header line.
-        try:
-            with gzip.open(path, "rt", encoding="utf-8",
-                           errors="replace") as stream:
-                first = stream.readline()
-        except OSError as exc:
-            raise TraceFormatError(f"{path}: cannot read: {exc}") from exc
-        if not first.lstrip().startswith("{"):
-            return import_synchrotrace(path)
-    return load_trace(path)
-
-
-def _save_by_format(trace, path: str, version: int | None) -> int:
-    """Write *trace*; default version from the extension (.gz -> v1)."""
-    from repro.isa.tracefile import save_trace
-
-    if version is None:
-        version = 1 if str(path).endswith(".gz") else 2
-    save_trace(trace, path, version=version)
-    return version
+    if is_binary_trace(path):
+        return load_trace(path)
+    return import_synchrotrace(path)
 
 
 def cmd_trace_record(args) -> int:
-    from repro.traces import resolve_source
+    from repro.traces import resolve_source, write_trace
 
     try:
         scale = ExperimentScale("record", args.instructions, 0)
         source = resolve_source(args.benchmark)
         trace = source.trace(scale, args.seed)
         output = args.output or f"{args.benchmark.replace(':', '_')}.bt"
-        version = _save_by_format(trace, output, args.format)
-    except (KeyError, ValueError, FileNotFoundError) as exc:
-        # ValueError covers TraceFormatError and a non-positive -n.
+        write_trace(trace, output)
+    except (KeyError, ValueError, OSError) as exc:
+        # ValueError covers TraceFormatError and a non-positive -n;
+        # OSError an unreadable source or an unwritable output.
         print(exc, file=sys.stderr)
         return 2
     size = Path(output).stat().st_size
     print(
         f"{args.benchmark}: {len(trace)} instructions -> {output} "
-        f"(v{version}, {size} bytes, {size / max(1, len(trace)):.2f} B/inst)"
+        f"(v2, {size} bytes, {size / max(1, len(trace)):.2f} B/inst)"
     )
     return 0
 
 
 def cmd_trace_convert(args) -> int:
-    from repro.isa.tracefile import TraceFormatError
+    from repro.traces import TraceFormatError, write_trace
 
     try:
-        trace = _load_any_trace(args.input, args.source_format)
-        version = _save_by_format(trace, args.output, args.format)
-    except (TraceFormatError, FileNotFoundError, OSError) as exc:
+        trace = _load_any_trace(args.input)
+        write_trace(trace, args.output)
+    except (TraceFormatError, OSError) as exc:
         print(exc, file=sys.stderr)
         return 2
     in_size = Path(args.input).stat().st_size
     out_size = Path(args.output).stat().st_size
     print(
         f"{args.input} ({in_size} bytes) -> {args.output} "
-        f"(v{version}, {out_size} bytes): {len(trace)} instructions"
+        f"(v2, {out_size} bytes): {len(trace)} instructions"
     )
     return 0
 
 
 def cmd_trace_info(args) -> int:
     from repro.isa.trace import communication_stats
-    from repro.isa.tracefile import TraceFormatError, detect_version
-    from repro.traces import trace_info
+    from repro.traces import TraceFormatError, is_binary_trace, trace_info
 
     rows = []
     try:
-        try:
-            version = detect_version(args.path)
-        except TraceFormatError:
-            version = None  # external event trace
-        if version == 2:
+        if is_binary_trace(args.path):
             info = trace_info(args.path)
             rows.extend([
                 ["format", f"v2 binary ({info['blocks']} blocks of "
@@ -559,12 +515,10 @@ def cmd_trace_info(args) -> int:
                 ["file bytes", str(info["file_bytes"])],
                 ["bytes/instruction", f"{info['bytes_per_instruction']:.2f}"],
             ])
-        elif version == 1:
-            rows.append(["format", "v1 gzip-JSONL"])
         else:
             rows.append(["format", "external event trace (imported)"])
-        trace = _load_any_trace(args.path, args.source_format)
-    except (TraceFormatError, FileNotFoundError, OSError) as exc:
+        trace = _load_any_trace(args.path)
+    except (TraceFormatError, OSError) as exc:
         print(exc, file=sys.stderr)
         return 2
     stats = communication_stats(trace)
@@ -584,11 +538,11 @@ def cmd_trace_info(args) -> int:
 
 def cmd_trace_validate(args) -> int:
     from repro.isa.trace import DynInst, annotate_trace
-    from repro.isa.tracefile import TraceFormatError
+    from repro.traces import TraceFormatError
 
     try:
-        trace = _load_any_trace(args.path, args.source_format)
-    except (TraceFormatError, FileNotFoundError, OSError) as exc:
+        trace = _load_any_trace(args.path)
+    except (TraceFormatError, OSError) as exc:
         print(f"INVALID: {exc}", file=sys.stderr)
         return 1
     # Re-derive every annotation from the raw instruction stream and
@@ -647,7 +601,7 @@ def _campaign_scale(args) -> ExperimentScale:
 def _campaign_benchmarks(args) -> list[str]:
     """Positional ids, narrowed by ``--benchmarks`` globs, extended by
     ``--source`` ids.  With a filter but no positionals, the filter
-    matches over every known id (profiles and registered sources)."""
+    matches over every known id (profiles and zoo families)."""
     from repro.traces import known_benchmark_ids
 
     if args.benchmarks:
@@ -696,13 +650,13 @@ def _add_campaign_spec_args(parser: argparse.ArgumentParser) -> None:
         metavar="GLOBS",
         help="comma-separated fnmatch globs narrowing the sweep "
              "(e.g. 'mesa.*' or 'zoo.*,gzip'); without positional ids the "
-             "globs match over all profiles and registered sources",
+             "globs match over all profiles and zoo.* families",
     )
     parser.add_argument(
         "--source", dest="sources", action="append", default=None,
         metavar="ID",
-        help="add a trace source to the sweep (repeatable): a registered "
-             "name, trace:<path> or extern:<path>",
+        help="add a trace source to the sweep (repeatable): any "
+             "benchmark id, e.g. trace:<path> or extern:<path>",
     )
     parser.add_argument(
         "--scale", choices=sorted(_NAMED_SCALES), default="smoke",
@@ -736,6 +690,8 @@ def _add_campaign_spec_args(parser: argparse.ArgumentParser) -> None:
 
 
 def cmd_campaign_run(args) -> int:
+    from repro.traces import TraceFormatError
+
     try:
         if args.jobs < 1:
             raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
@@ -746,10 +702,15 @@ def cmd_campaign_run(args) -> int:
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     store = ResultStore(args.store)
     progress = None if args.quiet else (lambda ev: print(ev.describe()))
-    result = run_campaign(
-        spec, jobs=args.jobs, cache=cache, store=store,
-        progress=progress, force=args.force,
-    )
+    try:
+        result = run_campaign(
+            spec, jobs=args.jobs, cache=cache, store=store,
+            progress=progress, force=args.force,
+        )
+    except (TraceFormatError, OSError) as exc:
+        # A trace:/extern: file that exists but does not load.
+        print(exc, file=sys.stderr)
+        return 2
     print(
         f"{spec.num_jobs} jobs: {result.hits} cached, "
         f"{result.executed} executed in {result.elapsed_s:.1f}s "
@@ -919,7 +880,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace_record.add_argument(
         "benchmark",
-        help="benchmark id: a profile, zoo.* family or registered source",
+        help="benchmark id: a profile or zoo.* family (or a trace:/extern: "
+             "path)",
     )
     trace_record.add_argument(
         "-n", "--instructions", type=int, default=30_000,
@@ -930,38 +892,21 @@ def build_parser() -> argparse.ArgumentParser:
         "-o", "--output", default=None,
         help="output path (default <benchmark>.bt)",
     )
-    trace_record.add_argument(
-        "--format", type=int, choices=(1, 2), default=None,
-        help="trace format version (default: 1 for *.gz, else 2)",
-    )
     trace_record.set_defaults(func=cmd_trace_record)
 
     trace_convert = trace_sub.add_parser(
         "convert",
-        help="convert between v1/v2 or import an external event trace",
+        help="import an external event trace (or rewrite a v2 trace) "
+             "into a v2 trace file",
     )
     trace_convert.add_argument("input")
     trace_convert.add_argument("output")
-    trace_convert.add_argument(
-        "--from", dest="source_format",
-        choices=("auto", "native", "synchrotrace"), default="auto",
-        help="input format (default auto: sniff native v1/v2, otherwise "
-             "import as a SynchroTrace-style event trace)",
-    )
-    trace_convert.add_argument(
-        "--format", type=int, choices=(1, 2), default=None,
-        help="output format version (default: 1 for *.gz, else 2)",
-    )
     trace_convert.set_defaults(func=cmd_trace_convert)
 
     trace_info_cmd = trace_sub.add_parser(
         "info", help="show a trace file's layout and statistics"
     )
     trace_info_cmd.add_argument("path")
-    trace_info_cmd.add_argument(
-        "--from", dest="source_format",
-        choices=("auto", "native", "synchrotrace"), default="auto",
-    )
     trace_info_cmd.set_defaults(func=cmd_trace_info)
 
     trace_validate = trace_sub.add_parser(
@@ -970,10 +915,6 @@ def build_parser() -> argparse.ArgumentParser:
              "on corruption or stale annotations",
     )
     trace_validate.add_argument("path")
-    trace_validate.add_argument(
-        "--from", dest="source_format",
-        choices=("auto", "native", "synchrotrace"), default="auto",
-    )
     trace_validate.set_defaults(func=cmd_trace_validate)
 
     validate = sub.add_parser(

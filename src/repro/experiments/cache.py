@@ -41,10 +41,10 @@ DEFAULT_CACHE_DIR = Path("results") / "cache"
 def job_key(job: Job) -> str:
     """Content hash addressing *job*'s result on disk.
 
-    For trace-source benchmarks (``zoo.*``, ``trace:``/``extern:`` files,
-    registered sources) the source's content id — a file hash or a
-    generator version — joins the payload, so swapping the bytes behind a
-    path can never be served a stale result.  Synthetic profiles
+    For trace-source benchmarks (``zoo.*``, ``trace:``/``extern:`` files)
+    the source's content id — a file hash or a generator version — joins
+    the payload, so swapping the bytes behind a path can never be served
+    a stale result.  Synthetic profiles
     contribute nothing extra, keeping their historical keys byte-stable.
     """
     from repro.traces import source_identity

@@ -70,10 +70,8 @@ class JobGroup:
     """One benchmark's uncached configs at one seed (shares one trace).
 
     ``source`` is the benchmark's resolved
-    :class:`~repro.traces.TraceSource`, captured in the parent process so
-    worker processes never depend on per-process registry state
-    (user-registered sources would otherwise resolve here but KeyError
-    in a spawn-started worker).
+    :class:`~repro.traces.TraceSource`, resolved once in the parent
+    process and shipped to the worker with the group.
     """
 
     benchmark: str
@@ -173,7 +171,7 @@ def plan_campaign(
         else:
             pending.setdefault(job.group_id, []).append((job, key))
     # Resolve sources here, in the parent: groups ship the source object
-    # to workers, so registry state never has to survive a spawn.
+    # to workers.
     from repro.traces import resolve_source
 
     groups = [

@@ -30,8 +30,8 @@ class Job:
 
     ``benchmark`` is any id the trace-source layer resolves
     (:func:`repro.traces.resolve_source`): a synthetic profile name, a
-    registered source such as a ``zoo.*`` family, or a self-describing
-    ``trace:<path>``/``extern:<path>`` id."""
+    ``zoo.*`` family, or a self-describing ``trace:<path>``/
+    ``extern:<path>`` id."""
 
     benchmark: str
     config: MachineConfig
@@ -86,7 +86,7 @@ class CampaignSpec:
             self.configs = list(self.configs)
         self.seeds = list(self.seeds)
         # Validate through the trace-source layer: every benchmark id
-        # must resolve (profiles, registered sources, trace:/extern: paths).
+        # must resolve (profiles, zoo.* families, trace:/extern: paths).
         from repro.traces import resolve_source
 
         unknown = []

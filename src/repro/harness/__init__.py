@@ -9,8 +9,8 @@
 * :mod:`repro.harness.report` -- fixed-width text rendering
 
 Every experiment accepts an :class:`ExperimentScale`; the default
-``SMOKE`` scale finishes in seconds per benchmark, while ``FULL`` matches
-what EXPERIMENTS.md records.
+``SMOKE`` scale finishes in seconds per benchmark, while ``FULL`` is the
+scale ``scripts/run_experiments.py full`` regenerates everything at.
 
 All sweeps execute through :func:`repro.api.sweep` (the campaign
 engine, :mod:`repro.experiments`): pass ``jobs=N`` to shard a sweep over

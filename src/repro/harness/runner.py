@@ -62,7 +62,8 @@ def effective_warmup(scale: ExperimentScale, trace_length: int) -> int:
 SMOKE = ExperimentScale("smoke", num_instructions=8_000, warmup=3_000)
 #: Default scale for the examples.
 DEFAULT = ExperimentScale("default", num_instructions=30_000, warmup=12_000)
-#: The scale used for EXPERIMENTS.md.
+#: The largest scale; ``scripts/run_experiments.py full`` regenerates
+#: every table and figure at it.
 FULL = ExperimentScale("full", num_instructions=60_000, warmup=30_000)
 
 

@@ -24,7 +24,6 @@ from repro.isa.trace import DynInst, MEMORY_SOURCE, annotate_trace
 from repro.isa.instructions import Instruction, Register, NUM_INT_REGS, NUM_FP_REGS
 from repro.isa.assembler import AssemblerError, assemble
 from repro.isa.executor import ExecutionResult, FunctionalExecutor
-from repro.isa.tracefile import TraceFormatError, load_trace, save_trace
 
 __all__ = [
     "Opcode",
@@ -41,7 +40,4 @@ __all__ = [
     "assemble",
     "ExecutionResult",
     "FunctionalExecutor",
-    "TraceFormatError",
-    "load_trace",
-    "save_trace",
 ]

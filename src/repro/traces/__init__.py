@@ -1,18 +1,17 @@
-"""Pluggable trace-ingestion subsystem.
+"""Trace ingestion: where traces come from, and the one file format.
 
 Decouples where traces come from (synthetic profiles, the workload zoo,
 saved trace files, external capture tools) from the timing model that
 consumes them — the trace-capture/replay split standard in architecture
 simulators (gem5's SynchroTrace tester is the pattern's reference):
 
-* :mod:`repro.traces.source` — the :class:`TraceSource` abstraction and
-  registry; campaign benchmark ids (``gzip``, ``zoo.pchase``,
-  ``trace:<path>``, ``extern:<path>``, ``source:<name>``) all resolve
-  through :func:`resolve_source`, and :func:`source_identity` is what the
-  campaign cache folds into job keys;
-* :mod:`repro.traces.binformat` — the v2 binary packed trace format
-  (struct-packed records, zlib-framed blocks, index footer) with a
-  streaming reader/writer, ~10x smaller than the v1 gzip-JSONL format;
+* :mod:`repro.traces.source` — the :class:`TraceSource` abstraction;
+  campaign benchmark ids (``gzip``, ``zoo.pchase``, ``trace:<path>``,
+  ``extern:<path>``) all resolve through :func:`resolve_source`, and
+  :func:`source_identity` is what the campaign cache folds into job keys;
+* :mod:`repro.traces.binformat` — the native v2 binary packed trace
+  format (struct-packed records, zlib-framed blocks, index footer) with a
+  streaming reader/writer;
 * :mod:`repro.traces.importers` — converters from external event-trace
   formats (SynchroTrace-style compute/read/write/dependency events) into
   annotated :class:`~repro.isa.trace.DynInst` streams;
@@ -20,18 +19,18 @@ simulators (gem5's SynchroTrace tester is the pattern's reference):
   differential-validation failures (a v2 trace plus a JSON sidecar
   recording the config, violated invariants and fuzz coordinates).
 
+Malformed input of every kind raises :class:`TraceFormatError`.
 ``repro trace record|convert|info|validate`` exposes the subsystem on the
 command line; see ``docs/traces.md`` for the format specification and the
 importer field mapping.
-
-Importing this package registers the workload-zoo generator families
-(``zoo.*``) as named sources.
 """
 
 from repro.traces.binformat import (
     BINARY_VERSION,
     BinaryTraceWriter,
+    TraceFormatError,
     is_binary_trace,
+    load_trace,
     read_trace,
     trace_info,
     write_trace,
@@ -49,16 +48,10 @@ from repro.traces.source import (
     SyntheticSource,
     TraceSource,
     known_benchmark_ids,
-    list_sources,
-    register_source,
-    register_trace_file,
     resolve_source,
     source_identity,
-    unregister_source,
 )
-from repro.workloads.zoo import ZOO_BENCHMARKS, register_zoo_sources
-
-register_zoo_sources()
+from repro.workloads.zoo import ZOO_BENCHMARKS
 
 __all__ = [
     "BINARY_VERSION",
@@ -68,21 +61,18 @@ __all__ = [
     "GeneratorSource",
     "ReproCase",
     "SyntheticSource",
+    "TraceFormatError",
     "TraceSource",
     "ZOO_BENCHMARKS",
     "import_synchrotrace",
     "is_binary_trace",
     "known_benchmark_ids",
-    "list_sources",
     "load_repro_case",
+    "load_trace",
     "read_trace",
     "save_repro_case",
-    "register_source",
-    "register_trace_file",
-    "register_zoo_sources",
     "resolve_source",
     "source_identity",
     "trace_info",
-    "unregister_source",
     "write_trace",
 ]

@@ -1,9 +1,8 @@
-"""Versioned binary packed trace format (v2).
+"""The native trace file format (v2): versioned, binary, packed.
 
-The v1 format (:mod:`repro.isa.tracefile`) is gzip-compressed JSON lines:
-simple and diffable, but ~10x larger than necessary and slow to parse for
-the long traces the "full" experiment scale needs.  v2 is a struct-packed
-binary container:
+Saving a generated (or functionally executed) trace makes an experiment
+bit-reproducible and lets expensive workloads be shared between runs and
+machines.  The file is a struct-packed binary container:
 
 ::
 
@@ -56,8 +55,13 @@ no bytes at all (bit 8 plus a running counter reconstructs it), and the
 store-distance encoding keeps in-window communication — the common case —
 in one-byte varints.  ``seq`` is implicit (dense from 0, in file order)
 and the derived annotations ``containing_store``/``unique_stores``/
-``path_hist`` are recomputed on load, exactly as the v1 reader does, so a
-reloaded trace is bit-identical to the annotated original.
+``path_hist`` are recomputed on load, so a reloaded trace is
+bit-identical to the annotated original.
+
+A reader checks every frame's crc32, that each block's column streams
+are consumed exactly (a record count that disagrees with the payload is
+an error, not extra or missing instructions) and that the blocks add up
+to the header's instruction count.
 """
 
 from __future__ import annotations
@@ -70,7 +74,6 @@ from typing import Iterable, Iterator
 
 from repro.isa.opcodes import OpClass
 from repro.isa.trace import MEMORY_SOURCE, DynInst
-from repro.isa.tracefile import TraceFormatError
 
 #: Leading magic of a v2 binary trace file.
 MAGIC = b"RTRC"
@@ -108,6 +111,10 @@ _F_HAS_TARGET = 1 << 7
 _F_HAS_STORE_SEQ = 1 << 8
 _F_HAS_DIST = 1 << 9
 _F_UNIFORM_SOURCES = 1 << 10
+
+
+class TraceFormatError(ValueError):
+    """A trace file (native or imported) is malformed or unsupported."""
 
 
 def _write_uvarint(out: bytearray, value: int) -> None:
@@ -270,9 +277,11 @@ def _decode_block(
             length, offset = _read_uvarint(payload, offset)
             lengths.append(length)
         cursor = {}
+        ends = {}
         for name, length in zip(_COLUMNS, lengths):
             cursor[name] = offset
             offset += length
+            ends[name] = offset
         if offset != len(payload):
             raise TraceFormatError(
                 f"{path}: block column table covers {offset} of "
@@ -379,6 +388,15 @@ def _decode_block(
             f"{path}: corrupt record in block at instruction "
             f"{base_seq + len(insts)}: {exc}"
         ) from exc
+    # The frame's record count is outside the crc; the column streams
+    # must end exactly where the records do, or the count is wrong.
+    for name in _COLUMNS:
+        if cursor[name] != ends[name]:
+            raise TraceFormatError(
+                f"{path}: block at instruction {base_seq} declares "
+                f"{count} records, but its {name} column does not end "
+                "with them"
+            )
     return insts
 
 
@@ -492,11 +510,13 @@ def is_binary_trace(path: str | Path) -> bool:
 
 def _read_header(stream, path: Path) -> tuple[int, int]:
     raw = stream.read(_HEADER.size)
+    if not raw.startswith(MAGIC):
+        raise TraceFormatError(
+            f"{path}: not a repro trace file (no {MAGIC.decode()} magic)"
+        )
     if len(raw) != _HEADER.size:
         raise TraceFormatError(f"{path}: truncated header")
     magic, version, _flags, count, block_records = _HEADER.unpack(raw)
-    if magic != MAGIC:
-        raise TraceFormatError(f"{path}: not a binary repro trace file")
     if version != BINARY_VERSION:
         raise TraceFormatError(f"{path}: unsupported version {version}")
     return count, block_records
@@ -539,6 +559,11 @@ def read_trace(path: str | Path) -> Iterator[DynInst]:
                 ) from exc
             yield from _decode_block(decompressed, count, seq, state, path)
             seq += count
+        if seq != expected:
+            raise TraceFormatError(
+                f"{path}: blocks hold {seq} instructions, header says "
+                f"{expected}"
+            )
 
 
 def load_trace(path: str | Path) -> list[DynInst]:

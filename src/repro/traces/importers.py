@@ -48,12 +48,13 @@ multi-threaded capture).
 from __future__ import annotations
 
 import gzip
+import zlib
 from pathlib import Path
 from typing import Iterable
 
 from repro.isa.opcodes import OpClass
 from repro.isa.trace import DynInst, annotate_trace
-from repro.isa.tracefile import TraceFormatError
+from repro.traces.binformat import TraceFormatError
 
 #: Base register conventions (match the synthetic generator's).
 _BASE_REG = 5
@@ -182,8 +183,9 @@ def _require(fields: list[str], count: int, path: Path, lineno: int) -> None:
 def import_synchrotrace(path: str | Path) -> list[DynInst]:
     """Convert a SynchroTrace-style event trace into an annotated trace.
 
-    Raises :class:`~repro.isa.tracefile.TraceFormatError` with the
-    offending line number on malformed input.
+    Raises :class:`~repro.traces.binformat.TraceFormatError` with the
+    offending line number on malformed input, and naming the path when
+    the file cannot be read as (possibly gzip-compressed) UTF-8 text.
     """
     path = Path(path)
     opener = gzip.open if path.suffix == ".gz" else open
@@ -192,62 +194,66 @@ def import_synchrotrace(path: str | Path) -> list[DynInst]:
         stream = opener(path, "rt", encoding="utf-8")
     except OSError as exc:
         raise TraceFormatError(f"{path}: cannot open: {exc}") from exc
-    with stream:
-        for lineno, line in enumerate(stream, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            fields = [f.strip() for f in line.split(",")]
-            if len(fields) < 3:
-                raise TraceFormatError(
-                    f"{path}: line {lineno}: expected "
-                    f"'<eid>,<tid>,<event>,...', got {line!r}"
-                )
-            eid = _parse_int(fields[0], "event id", path, lineno)
-            tid = _parse_int(fields[1], "thread id", path, lineno)
-            kind = fields[2]
-            if kind == "comp":
-                _require(fields, 5, path, lineno)
-                iops = _parse_int(fields[3], "iops", path, lineno)
-                flops = _parse_int(fields[4], "flops", path, lineno)
-                if iops < 0 or flops < 0:
+    try:
+        with stream:
+            for lineno, line in enumerate(stream, start=1):
+                line = line.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                fields = [f.strip() for f in line.split(",")]
+                if len(fields) < 3:
                     raise TraceFormatError(
-                        f"{path}: line {lineno}: negative op count"
+                        f"{path}: line {lineno}: expected "
+                        f"'<eid>,<tid>,<event>,...', got {line!r}"
                     )
-                builder.comp(tid, eid, iops, flops)
-            elif kind in ("read", "write"):
-                _require(fields, 5, path, lineno)
-                addr = _parse_int(fields[3], "address", path, lineno)
-                nbytes = _parse_int(fields[4], "byte count", path, lineno)
-                if nbytes < 1:
-                    raise TraceFormatError(
-                        f"{path}: line {lineno}: byte count must be >= 1"
-                    )
-                if kind == "read":
-                    builder.read(tid, "read", addr, nbytes)
+                eid = _parse_int(fields[0], "event id", path, lineno)
+                tid = _parse_int(fields[1], "thread id", path, lineno)
+                kind = fields[2]
+                if kind == "comp":
+                    _require(fields, 5, path, lineno)
+                    iops = _parse_int(fields[3], "iops", path, lineno)
+                    flops = _parse_int(fields[4], "flops", path, lineno)
+                    if iops < 0 or flops < 0:
+                        raise TraceFormatError(
+                            f"{path}: line {lineno}: negative op count"
+                        )
+                    builder.comp(tid, eid, iops, flops)
+                elif kind in ("read", "write"):
+                    _require(fields, 5, path, lineno)
+                    addr = _parse_int(fields[3], "address", path, lineno)
+                    nbytes = _parse_int(fields[4], "byte count", path, lineno)
+                    if nbytes < 1:
+                        raise TraceFormatError(
+                            f"{path}: line {lineno}: byte count must be >= 1"
+                        )
+                    if kind == "read":
+                        builder.read(tid, "read", addr, nbytes)
+                    else:
+                        builder.write(tid, addr, nbytes)
+                elif kind == "comm":
+                    _require(fields, 6, path, lineno)
+                    addr = _parse_int(fields[4], "address", path, lineno)
+                    nbytes = _parse_int(fields[5], "byte count", path, lineno)
+                    if nbytes < 1:
+                        raise TraceFormatError(
+                            f"{path}: line {lineno}: byte count must be >= 1"
+                        )
+                    builder.read(tid, "comm", addr, nbytes)
+                elif kind == "branch":
+                    _require(fields, 4, path, lineno)
+                    taken = _parse_int(fields[3], "taken flag", path, lineno)
+                    builder.branch(tid, eid, bool(taken))
+                elif kind == "call":
+                    _require(fields, 3, path, lineno)
+                    builder.call(tid, eid)
+                elif kind == "ret":
+                    _require(fields, 3, path, lineno)
+                    builder.ret(tid, eid)
                 else:
-                    builder.write(tid, addr, nbytes)
-            elif kind == "comm":
-                _require(fields, 6, path, lineno)
-                addr = _parse_int(fields[4], "address", path, lineno)
-                nbytes = _parse_int(fields[5], "byte count", path, lineno)
-                if nbytes < 1:
                     raise TraceFormatError(
-                        f"{path}: line {lineno}: byte count must be >= 1"
+                        f"{path}: line {lineno}: unknown event kind {kind!r}"
                     )
-                builder.read(tid, "comm", addr, nbytes)
-            elif kind == "branch":
-                _require(fields, 4, path, lineno)
-                taken = _parse_int(fields[3], "taken flag", path, lineno)
-                builder.branch(tid, eid, bool(taken))
-            elif kind == "call":
-                _require(fields, 3, path, lineno)
-                builder.call(tid, eid)
-            elif kind == "ret":
-                _require(fields, 3, path, lineno)
-                builder.ret(tid, eid)
-            else:
-                raise TraceFormatError(
-                    f"{path}: line {lineno}: unknown event kind {kind!r}"
-                )
+    except (UnicodeDecodeError, EOFError, OSError, zlib.error) as exc:
+        # Not UTF-8 text, or a truncated/corrupt gzip stream.
+        raise TraceFormatError(f"{path}: cannot read: {exc}") from exc
     return annotate_trace(builder.trace)

@@ -59,12 +59,12 @@ def save_repro_case(
     fuzz: dict[str, Any] | None = None,
 ) -> Path:
     """Write *trace* (v2) and its sidecar; returns the trace path."""
-    from repro.isa.tracefile import save_trace
+    from repro.traces.binformat import write_trace
     from repro.validate.oracle import ORACLE_VERSION
 
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    save_trace(list(trace), path, version=2)
+    write_trace(trace, path)
     sidecar = {
         "format": CASE_FORMAT,
         "version": CASE_VERSION,
@@ -85,13 +85,13 @@ def save_repro_case(
 def load_repro_case(path: str | Path) -> ReproCase:
     """Load a repro case saved by :func:`save_repro_case`.
 
-    Raises :class:`~repro.isa.tracefile.TraceFormatError` for corrupt
+    Raises :class:`~repro.traces.binformat.TraceFormatError` for corrupt
     trace files, :class:`MissingSidecarError` when the sidecar file does
     not exist, and :class:`ValueError` for malformed sidecars or cases
     recorded under a different oracle version (whose synthetic values
     this build would disagree with).
     """
-    from repro.isa.tracefile import load_trace
+    from repro.traces.binformat import load_trace
     from repro.validate.oracle import ORACLE_VERSION
 
     path = Path(path)

@@ -1,25 +1,24 @@
 """Named trace sources: one abstraction over every way to get a trace.
 
 A :class:`TraceSource` produces annotated dynamic-instruction traces for
-the simulator.  The registry makes sources addressable by *benchmark id*
-from campaigns, the CLI and the harness — synthetic profiles, generator
-families, saved trace files and external importers all answer to the same
-:func:`resolve_source` call:
+the simulator.  Every *benchmark id* used by campaigns, the CLI and the
+harness resolves through :func:`resolve_source`, from a fixed table:
 
 ===============  ======================================================
 benchmark id     resolves to
 ===============  ======================================================
 ``gzip``         :class:`SyntheticSource` (a Table 5 profile; the
                  historical namespace, unchanged)
-``zoo.pchase``   a registered :class:`GeneratorSource` (workload zoo)
-``trace:PATH``   :class:`FileTraceSource` — a saved v1/v2 trace file
+``zoo.pchase``   a :class:`GeneratorSource` over a workload-zoo family
+                 (:data:`repro.workloads.zoo.FAMILIES`)
+``trace:PATH``   :class:`FileTraceSource` — a saved v2 trace file
 ``extern:PATH``  :class:`ExternalTraceSource` — an external event trace
                  run through the SynchroTrace-style importer
-``source:NAME``  explicit registry lookup (user-registered sources)
 ===============  ======================================================
 
-``trace:``/``extern:`` ids embed the path, so they resolve identically in
-campaign worker processes without shared registry state.
+There is no runtime registration: the table is the same in every
+process, and ``trace:``/``extern:`` ids embed the path, so campaign
+worker processes resolve ids exactly as the parent does.
 
 Every source also reports a :meth:`TraceSource.content_id`: the part of
 its identity that the benchmark id, scale and seed do not capture.  File
@@ -40,11 +39,6 @@ from repro.isa.trace import DynInst
 
 if TYPE_CHECKING:  # circular at runtime: harness.runner uses this module
     from repro.harness.runner import ExperimentScale
-
-#: Bump when a registered generator family changes behaviour, so cached
-#: campaign results keyed on its content id are invalidated.
-GENERATOR_VERSION = 1
-
 
 class TraceSource:
     """One named producer of annotated traces."""
@@ -91,7 +85,8 @@ class GeneratorSource(TraceSource):
         name: str,
         generate: Callable[[int, int], list[DynInst]],
         description: str = "",
-        version: int = GENERATOR_VERSION,
+        *,
+        version: int,
     ) -> None:
         self.name = name
         self._generate = generate
@@ -136,7 +131,7 @@ def _hash_file(path: Path) -> str:
 
 
 class FileTraceSource(TraceSource):
-    """A saved native trace file (v1 gzip-JSONL or v2 binary).
+    """A saved native trace file (the v2 binary format).
 
     The trace's length is intrinsic to the file; the scale's
     ``num_instructions`` is ignored (``warmup`` still applies at
@@ -148,7 +143,7 @@ class FileTraceSource(TraceSource):
         self.name = name if name is not None else f"trace:{self.path}"
 
     def trace(self, scale: "ExperimentScale", seed: int) -> list[DynInst]:
-        from repro.isa.tracefile import load_trace
+        from repro.traces.binformat import load_trace
 
         return load_trace(self.path)
 
@@ -178,43 +173,21 @@ class ExternalTraceSource(TraceSource):
         return f"imported external trace {self.path}"
 
 
-# --------------------------------------------------------------------- #
-# Registry
-# --------------------------------------------------------------------- #
-
-_REGISTRY: dict[str, TraceSource] = {}
 _SYNTHETIC_CACHE: dict[str, SyntheticSource] = {}
+_ZOO_CACHE: dict[str, GeneratorSource] = {}
 
 
-def register_source(source: TraceSource, replace: bool = False) -> TraceSource:
-    """Make *source* addressable by its name (and ``source:<name>``)."""
-    from repro.workloads.profiles import PROFILES
+def _zoo_source(benchmark_id: str) -> GeneratorSource:
+    from repro.workloads.zoo import FAMILIES, ZOO_VERSION
 
-    if not source.name:
-        raise ValueError("trace source needs a non-empty name")
-    if source.name in PROFILES:
-        raise ValueError(
-            f"{source.name!r} shadows a synthetic benchmark profile"
-        )
-    if not replace and source.name in _REGISTRY:
-        raise ValueError(f"trace source {source.name!r} already registered")
-    _REGISTRY[source.name] = source
+    source = _ZOO_CACHE.get(benchmark_id)
+    if source is None:
+        generate, description = FAMILIES[benchmark_id[len("zoo."):]]
+        source = _ZOO_CACHE.setdefault(benchmark_id, GeneratorSource(
+            benchmark_id, generate,
+            description=description, version=ZOO_VERSION,
+        ))
     return source
-
-
-def register_trace_file(name: str, path: str | Path,
-                        replace: bool = False) -> TraceSource:
-    """Register a saved trace file under a short name."""
-    return register_source(FileTraceSource(path, name=name), replace=replace)
-
-
-def unregister_source(name: str) -> None:
-    _REGISTRY.pop(name, None)
-
-
-def list_sources() -> dict[str, TraceSource]:
-    """Registered sources by name (synthetic profiles not included)."""
-    return dict(_REGISTRY)
 
 
 def resolve_source(benchmark_id: str) -> TraceSource:
@@ -225,6 +198,7 @@ def resolve_source(benchmark_id: str) -> TraceSource:
     not exist.
     """
     from repro.workloads.profiles import PROFILES
+    from repro.workloads.zoo import ZOO_BENCHMARKS
 
     if benchmark_id in PROFILES:
         source = _SYNTHETIC_CACHE.get(benchmark_id)
@@ -233,16 +207,8 @@ def resolve_source(benchmark_id: str) -> TraceSource:
                 benchmark_id, SyntheticSource(benchmark_id)
             )
         return source
-    if benchmark_id in _REGISTRY:
-        return _REGISTRY[benchmark_id]
-    if benchmark_id.startswith("source:"):
-        name = benchmark_id[len("source:"):]
-        if name in _REGISTRY:
-            return _REGISTRY[name]
-        raise KeyError(
-            f"no registered trace source {name!r}; "
-            f"registered: {sorted(_REGISTRY)}"
-        )
+    if benchmark_id in ZOO_BENCHMARKS:
+        return _zoo_source(benchmark_id)
     for prefix, cls in (("trace:", FileTraceSource),
                         ("extern:", ExternalTraceSource)):
         if benchmark_id.startswith(prefix):
@@ -254,8 +220,7 @@ def resolve_source(benchmark_id: str) -> TraceSource:
             return cls(path, name=benchmark_id)
     raise KeyError(
         f"unknown benchmark {benchmark_id!r}: not a synthetic profile, "
-        "registered source, 'source:<name>', 'trace:<path>' or "
-        "'extern:<path>'"
+        "zoo.* family, 'trace:<path>' or 'extern:<path>'"
     )
 
 
@@ -265,8 +230,9 @@ def source_identity(benchmark_id: str) -> str | None:
 
 
 def known_benchmark_ids() -> Iterator[str]:
-    """Every currently addressable non-path benchmark id."""
+    """Every non-path benchmark id: the profiles, then the zoo."""
     from repro.workloads.profiles import PROFILES
+    from repro.workloads.zoo import ZOO_BENCHMARKS
 
     yield from PROFILES
-    yield from _REGISTRY
+    yield from ZOO_BENCHMARKS

@@ -21,7 +21,8 @@ readable kernels, each isolating one stressor of the bypassing pipeline:
 =================  ====================================================
 
 Every family is a deterministic function of ``(num_instructions, seed)``
-and is registered as a :class:`~repro.traces.source.GeneratorSource`, so
+and :func:`~repro.traces.source.resolve_source` answers ``zoo.<name>``
+with a :class:`~repro.traces.source.GeneratorSource` over it, so
 ``repro campaign run zoo.pchase zoo.overlap`` sweeps them like any
 benchmark.  Bump :data:`ZOO_VERSION` when a family's output changes:
 campaign cache keys incorporate it.
@@ -334,16 +335,3 @@ def generate_zoo_trace(name: str, num_instructions: int,
         ) from None
     return generate(num_instructions, seed)
 
-
-def register_zoo_sources() -> None:
-    """Register every family with the trace-source registry (idempotent)."""
-    from repro.traces.source import GeneratorSource, register_source
-
-    for name, (generate, description) in FAMILIES.items():
-        register_source(
-            GeneratorSource(
-                f"zoo.{name}", generate,
-                description=description, version=ZOO_VERSION,
-            ),
-            replace=True,
-        )

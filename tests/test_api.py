@@ -393,10 +393,10 @@ class TestSimulate:
             simulate("nosq", object(), scale=TINY)
 
     def test_short_file_trace_clamps_default_warmup(self, tmp_path):
-        from repro.isa.tracefile import save_trace
+        from repro.traces import write_trace
 
         path = tmp_path / "short.bt"
-        save_trace(generate_trace("gzip", 2_000, seed=17), path)
+        write_trace(generate_trace("gzip", 2_000, seed=17), path)
         # DEFAULT scale's warmup (12000) exceeds the file length; the
         # defaulted warmup clamps so statistics stay meaningful.
         result = simulate("nosq", f"trace:{path}")

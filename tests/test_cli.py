@@ -122,11 +122,11 @@ class TestCommands:
     def test_run_trace_file_clamps_default_warmup(self, capsys, tmp_path):
         # File sources keep their intrinsic length; the default warmup
         # (15000) must not swallow a short recorded trace.
-        from repro.isa.tracefile import save_trace
+        from repro.traces import write_trace
         from repro.workloads import generate_trace
 
         path = tmp_path / "short.bt"
-        save_trace(generate_trace("gzip", 2_000, seed=17), path)
+        write_trace(generate_trace("gzip", 2_000, seed=17), path)
         assert main(["run", f"trace:{path}"]) == 0
         out = capsys.readouterr().out
         assert "(1000 warmup" in out
@@ -138,11 +138,11 @@ class TestCommands:
         assert "not a repro trace file" in capsys.readouterr().err
 
     def test_run_source_id_gets_registry_suggestions(self, capsys):
-        # source:-shaped ids can never be config specs; the trace
-        # registry's message (with its suggestions) must survive.
+        # Prefixed ids can never be config specs; the benchmark-id
+        # message (naming the id forms that exist) must survive.
         assert main(["run", "source:pchse", "gzip", "-n", "2000"]) == 2
         err = capsys.readouterr().err
-        assert "no registered trace source 'pchse'" in err
+        assert "unknown benchmark 'source:pchse'" in err
         assert "config" not in err
 
     def test_run_duplicate_config_names_collapse(self, capsys):
@@ -165,6 +165,8 @@ class TestCommands:
         assert "conventional-perfect" in out
         assert "nosq-nodelay" in out
         assert "config set" in out
+        # The zoo families come from the fixed FAMILIES table.
+        assert "zoo.pchase" in out and "Workload-zoo families" in out
 
 
 class TestValidateCLI:
@@ -242,11 +244,11 @@ class TestValidateCLI:
         assert "malformed sidecar" in capsys.readouterr().err
 
     def test_shrink_bare_trace_needs_config(self, capsys, tmp_path):
-        from repro.isa.tracefile import save_trace
+        from repro.traces import write_trace
         from repro.workloads import generate_trace
 
         path = tmp_path / "bare.bt"
-        save_trace(generate_trace("gzip", 500, seed=17), path, version=2)
+        write_trace(generate_trace("gzip", 500, seed=17), path)
         assert main(["validate", "shrink", str(path)]) == 2
         assert "pass --config" in capsys.readouterr().err
 

@@ -3,13 +3,13 @@
 The contracts under test:
 
 * the v2 binary format round-trips annotated traces bit-identically
-  (every field, derived annotations included) and v1<->v2 conversion is
-  lossless in both directions;
+  (every field, derived annotations included), and its reader rejects
+  every corruption it can see instead of loading a different trace;
 * a simulation of a reloaded binary trace produces RunStats identical to
   the generated original (the cache-equals-recompute guarantee extended
   to trace files);
 * the SynchroTrace-style importer matches its committed golden fixture
-  and reports malformed input with line numbers;
+  and reports malformed or unreadable input as one TraceFormatError;
 * trace sources resolve benchmark ids uniformly and contribute content
   hashes to campaign cache keys, so swapped file bytes can never be
   served stale results.
@@ -28,20 +28,18 @@ import pytest
 from repro.cli import main
 from repro.experiments import CampaignSpec, Job, ResultCache, job_key, run_campaign
 from repro.harness.runner import ExperimentScale
-from repro.isa.tracefile import TraceFormatError, load_trace, save_trace
 from repro.pipeline import MachineConfig, Processor
 from repro.traces import (
-    FileTraceSource,
     GeneratorSource,
+    TraceFormatError,
     binformat,
     import_synchrotrace,
     is_binary_trace,
+    load_trace,
     read_trace,
-    register_source,
     resolve_source,
     source_identity,
     trace_info,
-    unregister_source,
     write_trace,
 )
 from repro.workloads import generate_trace
@@ -91,7 +89,7 @@ class TestBinaryRoundTrip:
     def test_generated_workload_bit_identical(self, tmp_path):
         trace = generate_trace("g721.e", num_instructions=3_000)
         path = tmp_path / "g.bt"
-        save_trace(trace, path, version=2)
+        write_trace(trace, path)
         assert is_binary_trace(path)
         assert_traces_identical(trace, load_trace(path))
 
@@ -118,44 +116,13 @@ class TestBinaryRoundTrip:
         assert trace_info(path)["instructions"] == 0
 
     def test_v2_at_least_3x_smaller_than_v1(self, tmp_path):
-        """The acceptance bar: v2 is >= 3x smaller on smoke traces."""
-        trace = generate_trace("gzip", num_instructions=8_000)
-        v1 = tmp_path / "t.trace.gz"
-        v2 = tmp_path / "t.bt"
-        save_trace(trace, v1)
-        save_trace(trace, v2, version=2)
-        ratio = v1.stat().st_size / v2.stat().st_size
-        assert ratio >= 3.0, f"v1/v2 size ratio only {ratio:.2f}"
-
-
-class TestV1V2Conversion:
-    def test_conversion_bit_identity_both_ways(self, tmp_path):
-        trace = generate_trace("vortex", num_instructions=2_500)
-        v1_a = tmp_path / "a.trace.gz"
-        v2_a = tmp_path / "a.bt"
-        v1_b = tmp_path / "b.trace.gz"
-        v2_b = tmp_path / "b.bt"
-        save_trace(trace, v1_a)
-        save_trace(load_trace(v1_a), v2_a, version=2)
-        save_trace(load_trace(v2_a), v1_b)
-        save_trace(load_trace(v1_b), v2_b, version=2)
-        # v2 files are byte-identical across a v1 round trip; v1 files
-        # compare by content (gzip embeds a timestamp).
-        assert v2_a.read_bytes() == v2_b.read_bytes()
-        with gzip.open(v1_a, "rt") as a, gzip.open(v1_b, "rt") as b:
-            assert a.read() == b.read()
-
-    def test_loader_autodetects(self, tmp_path):
-        trace = build_trace([("alu", 8), ("st", 0x40, 8, 8), ("ld", 0x40, 8)])
-        v1 = tmp_path / "t.trace.gz"
-        v2 = tmp_path / "t.bt"
-        save_trace(trace, v1)
-        save_trace(trace, v2, version=2)
-        assert_traces_identical(load_trace(v1), load_trace(v2))
-
-    def test_unknown_save_version(self, tmp_path):
-        with pytest.raises(ValueError, match="version"):
-            save_trace([], tmp_path / "t", version=7)
+        """The size bar: 8,000 gzip instructions (seed 17) fit in a third
+        of the 91,980 bytes the retired gzip-JSONL encoding took."""
+        trace = generate_trace("gzip", num_instructions=8_000, seed=17)
+        path = tmp_path / "t.bt"
+        write_trace(trace, path)
+        size = path.stat().st_size
+        assert size <= 30_660, f"v2 file is {size} bytes"
 
 
 class TestRunStatsIdentity:
@@ -164,7 +131,7 @@ class TestRunStatsIdentity:
         counter for counter."""
         trace = generate_trace("g721.e", num_instructions=3_000)
         path = tmp_path / "g.bt"
-        save_trace(trace, path, version=2)
+        write_trace(trace, path)
         reloaded = load_trace(path)
         for config in (MachineConfig.nosq(), MachineConfig.conventional()):
             original = Processor(config).run(trace, warmup=1_000)
@@ -218,6 +185,32 @@ class TestBinaryErrors:
         with pytest.raises(TraceFormatError, match="index trailer"):
             trace_info(path)
 
+    @pytest.mark.parametrize("delta", [1, -1])
+    def test_frame_record_count_must_match_payload(self, tmp_path, delta):
+        # The frame's record count (bytes 36..39 of the first frame) is
+        # outside the crc; a count one off must not load one instruction
+        # more or less.
+        path = tmp_path / "t.bt"
+        trace = generate_zoo_trace("overlap", 600, seed=17)
+        write_trace(trace, path, block_records=128)
+        data = bytearray(path.read_bytes())
+        count = int.from_bytes(data[36:40], "little")
+        assert count == 128
+        data[36:40] = (count + delta).to_bytes(4, "little")
+        path.write_bytes(bytes(data))
+        with pytest.raises(TraceFormatError, match="declares"):
+            load_trace(path)
+
+    def test_header_count_must_match_blocks(self, tmp_path):
+        path = tmp_path / "t.bt"
+        trace = self._write_sample(path, block_records=128)
+        data = bytearray(path.read_bytes())
+        # The u64 instruction count follows magic, version and flags.
+        data[8:16] = (len(trace) - 10).to_bytes(8, "little")
+        path.write_bytes(bytes(data))
+        with pytest.raises(TraceFormatError, match="header says"):
+            load_trace(path)
+
     def test_unannotated_store_reference_rejected(self, tmp_path):
         trace = build_trace([("st", 0x40, 8, 8), ("ld", 0x40, 8)])
         trace[1].src_stores = (5,)  # references a store that never ran
@@ -240,26 +233,7 @@ class TestBinaryErrors:
 
 
 class TestV1Errors:
-    def test_corrupt_line_reports_line_number(self, tmp_path):
-        path = tmp_path / "t.trace.gz"
-        trace = build_trace([("alu", 8)] * 3)
-        save_trace(trace, path)
-        lines = gzip.open(path, "rt").read().splitlines()
-        lines[2] = '{"op": not json'
-        with gzip.open(path, "wt") as stream:
-            stream.write("\n".join(lines) + "\n")
-        with pytest.raises(TraceFormatError, match="line 3.*corrupt"):
-            load_trace(path)
-
-    def test_malformed_record_reports_line_number(self, tmp_path):
-        path = tmp_path / "m.trace.gz"
-        with gzip.open(path, "wt") as stream:
-            stream.write(
-                json.dumps({"format": "repro-trace", "version": 1}) + "\n"
-            )
-            stream.write('{"seq": 0}\n')
-        with pytest.raises(TraceFormatError, match="line 2.*malformed"):
-            load_trace(path)
+    """Input that is not a v2 trace file at all."""
 
     def test_not_a_trace_at_all(self, tmp_path):
         path = tmp_path / "t.txt"
@@ -330,6 +304,18 @@ class TestImporter:
             import_synchrotrace(path)
         assert message.split("|")[0] in str(excinfo.value)
 
+    @pytest.mark.parametrize("name,content", [
+        ("latin1.txt", "1,0,comp,2,0\n# caf\xe9\n".encode("latin-1")),
+        ("cut.txt.gz", gzip.compress(SAMPLE.read_bytes())[:200]),
+        ("plain.txt.gz", SAMPLE.read_bytes()),
+    ], ids=["not-utf8", "truncated-gzip", "not-gzip"])
+    def test_unreadable_file_names_the_path(self, tmp_path, name, content):
+        path = tmp_path / name
+        path.write_bytes(content)
+        with pytest.raises(TraceFormatError, match="cannot read") as excinfo:
+            import_synchrotrace(path)
+        assert str(path) in str(excinfo.value)
+
 
 class TestSources:
     def test_synthetic_resolution_matches_generator(self):
@@ -364,7 +350,7 @@ class TestSources:
     def test_trace_file_source(self, tmp_path):
         trace = generate_trace("applu", num_instructions=1_500)
         path = tmp_path / "a.bt"
-        save_trace(trace, path, version=2)
+        write_trace(trace, path)
         source = resolve_source(f"trace:{path}")
         scale = ExperimentScale("ignored", 10, 5)
         assert_traces_identical(trace, source.trace(scale, seed=99))
@@ -383,20 +369,6 @@ class TestSources:
     def test_missing_file(self):
         with pytest.raises(FileNotFoundError):
             resolve_source("trace:/no/such/file.bt")
-
-    def test_registry_rejects_duplicates_and_shadows(self, tmp_path):
-        path = tmp_path / "t.bt"
-        save_trace(build_trace([("alu", 8)]), path, version=2)
-        register_source(FileTraceSource(path, name="my-trace"))
-        try:
-            assert resolve_source("my-trace").path == path
-            assert resolve_source("source:my-trace").path == path
-            with pytest.raises(ValueError, match="already registered"):
-                register_source(FileTraceSource(path, name="my-trace"))
-            with pytest.raises(ValueError, match="shadows"):
-                register_source(FileTraceSource(path, name="gzip"))
-        finally:
-            unregister_source("my-trace")
 
     def test_generator_source_version_in_content_id(self):
         source = GeneratorSource("x", lambda n, s: [], version=7)
@@ -417,13 +389,11 @@ class TestCacheKeys:
 
     def test_trace_file_key_tracks_content(self, tmp_path):
         path = tmp_path / "t.bt"
-        save_trace(generate_trace("gzip", num_instructions=600), path,
-                   version=2)
+        write_trace(generate_trace("gzip", num_instructions=600), path)
         key_before = job_key(self._job(f"trace:{path}"))
         assert key_before == job_key(self._job(f"trace:{path}"))
         # Swap the bytes behind the same path: the key must change.
-        save_trace(generate_trace("mcf", num_instructions=600), path,
-                   version=2)
+        write_trace(generate_trace("mcf", num_instructions=600), path)
         assert job_key(self._job(f"trace:{path}")) != key_before
 
     def test_zoo_key_differs_from_synthetic(self):
@@ -435,9 +405,7 @@ class TestCampaignIntegration:
 
     def test_mixed_source_campaign_with_cache_hits(self, tmp_path):
         trace_file = tmp_path / "gzip.bt"
-        save_trace(
-            resolve_source("gzip").trace(self.SCALE, 17), trace_file, version=2
-        )
+        write_trace(resolve_source("gzip").trace(self.SCALE, 17), trace_file)
         spec = CampaignSpec(
             benchmarks=[
                 "gzip", "zoo.overlap", f"trace:{trace_file}",
@@ -470,8 +438,7 @@ class TestCampaignIntegration:
         from repro.experiments import plan_campaign
 
         trace_file = tmp_path / "t.bt"
-        save_trace(resolve_source("gzip").trace(self.SCALE, 17), trace_file,
-                   version=2)
+        write_trace(resolve_source("gzip").trace(self.SCALE, 17), trace_file)
         spec = CampaignSpec(
             benchmarks=["gzip", "zoo.overlap", f"trace:{trace_file}"],
             configs=[MachineConfig.nosq()],
@@ -505,9 +472,9 @@ class TestTraceCLI:
         assert "v2 binary" in capsys.readouterr().out
         assert main(["trace", "validate", str(out)]) == 0
         assert "OK" in capsys.readouterr().out
-        v1 = tmp_path / "z.trace.gz"
-        assert main(["trace", "convert", str(out), str(v1)]) == 0
-        assert_traces_identical(load_trace(out), load_trace(v1))
+        copy = tmp_path / "copy.bt"
+        assert main(["trace", "convert", str(out), str(copy)]) == 0
+        assert copy.read_bytes() == out.read_bytes()
 
     def test_record_rejects_unknown_benchmark(self, tmp_path, capsys):
         assert main([
@@ -536,10 +503,34 @@ class TestTraceCLI:
     def test_validate_flags_stale_annotations(self, tmp_path, capsys):
         trace = build_trace([("st", 0x80, 8, 8), ("ld", 0x80, 8)])
         trace[1].dist_insns = 55  # stale on purpose
-        path = tmp_path / "stale.trace.gz"
-        save_trace(trace, path)
+        path = tmp_path / "stale.bt"
+        write_trace(trace, path)
         assert main(["trace", "validate", str(path)]) == 1
         assert "stale annotation" in capsys.readouterr().err
+
+    def test_record_into_directory_exits_2(self, tmp_path, capsys):
+        assert main([
+            "trace", "record", "gzip", "-n", "500", "-o", str(tmp_path),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "Is a directory" in err
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("args,status", [
+        (["trace", "info", "{events}"], 2),
+        (["trace", "validate", "{events}"], 1),
+        (["trace", "convert", "{events}", "{tmp}/out.bt"], 2),
+        (["run", "nosq", "extern:{events}", "-n", "500"], 2),
+    ], ids=["info", "validate", "convert", "run"])
+    def test_non_utf8_external_trace_is_one_line(self, tmp_path, capsys,
+                                                 args, status):
+        events = tmp_path / "events.txt"
+        events.write_bytes(b"1,0,comp,2,0\n\xff\xfe\n")
+        args = [a.format(events=events, tmp=tmp_path) for a in args]
+        assert main(args) == status
+        err = capsys.readouterr().err
+        assert f"{events}: cannot read" in err
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
     def test_validate_corrupt_file(self, tmp_path, capsys):
         path = tmp_path / "junk.bt"
@@ -559,6 +550,25 @@ class TestTraceCLI:
         ]) == 0
         out = capsys.readouterr().out
         assert "4 jobs" in out  # 2 benchmarks x 2 configs
+
+    @pytest.mark.parametrize("prefix", ["trace", "extern"])
+    def test_campaign_unloadable_file_exits_2(self, tmp_path, capsys,
+                                              prefix):
+        if prefix == "trace":
+            path = tmp_path / "cut.bt"
+            write_trace(generate_trace("gzip", 600), path)
+            path.write_bytes(path.read_bytes()[:300])
+        else:
+            path = tmp_path / "cut.txt.gz"
+            path.write_bytes(gzip.compress(SAMPLE.read_bytes())[:200])
+        assert main([
+            "campaign", "run", f"{prefix}:{path}", "-n", "1000",
+            "--configs", "nosq", "--no-cache",
+            "--store", str(tmp_path / "store.jsonl"), "-q",
+        ]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
     def test_campaign_filter_matching_nothing(self, capsys):
         assert main([

@@ -335,11 +335,11 @@ class TestReproCases:
         assert [i.addr for i in case.trace] == [i.addr for i in trace]
 
     def test_missing_sidecar_raises_distinct_error(self, tmp_path):
-        from repro.isa.tracefile import save_trace
+        from repro.traces import write_trace
         from repro.traces.reprocase import MissingSidecarError
 
         trace = ops_to_trace(generate_ops(2, 10))
-        save_trace(trace, tmp_path / "bare.bt", version=2)
+        write_trace(trace, tmp_path / "bare.bt")
         with pytest.raises(MissingSidecarError, match="sidecar"):
             load_repro_case(tmp_path / "bare.bt")
 
