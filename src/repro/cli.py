@@ -470,7 +470,10 @@ def cmd_trace_record(args) -> int:
         trace = source.trace(scale, args.seed)
         output = args.output or f"{args.benchmark.replace(':', '_')}.bt"
         write_trace(trace, output)
-    except (KeyError, ValueError, OSError) as exc:
+    except KeyError as exc:
+        print(exc.args[0], file=sys.stderr)
+        return 2
+    except (ValueError, OSError) as exc:
         # ValueError covers TraceFormatError and a non-positive -n;
         # OSError an unreadable source or an unwritable output.
         print(exc, file=sys.stderr)

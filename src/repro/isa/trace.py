@@ -28,8 +28,15 @@ from repro.isa.opcodes import OpClass
 #: than the trace" (i.e. no in-trace store wrote the byte).
 MEMORY_SOURCE = -1
 
+#: (is_load, is_store, is_branch, port) of each operation class.
+_OP_KIND = {
+    op: (op is OpClass.LOAD, op is OpClass.STORE, op is OpClass.BRANCH,
+         int(op))
+    for op in OpClass
+}
 
-@dataclass(slots=True)
+
+@dataclass(slots=True, init=False)
 class DynInst:
     """One dynamic instruction in a trace.
 
@@ -85,12 +92,43 @@ class DynInst:
     #: Issue-port index (``int(op)``), precomputed for the scheduler.
     port: int = field(init=False, default=0)
 
-    def __post_init__(self) -> None:
-        op = self.op
-        self.is_load = op is OpClass.LOAD
-        self.is_store = op is OpClass.STORE
-        self.is_branch = op is OpClass.BRANCH
-        self.port = int(op)
+    # Hand-written rather than generated: the trace reader builds one
+    # DynInst per record, and the generated __init__ plus a
+    # __post_init__ cost twice as much.  The parameters are the init
+    # fields above, in order and with the same defaults, so
+    # dataclasses.replace keeps working.
+    def __init__(
+        self, seq: int, pc: int, op: OpClass,
+        srcs: tuple[int, ...] = (), dst: int | None = None, lat: int = 1,
+        addr: int | None = None, size: int = 0, signed: bool = False,
+        fp_convert: bool = False, taken: bool = False,
+        target: int | None = None, is_call: bool = False,
+        is_return: bool = False, store_seq: int = -1,
+        src_stores: tuple[int, ...] = (),
+        containing_store: int = MEMORY_SOURCE, dist_insns: int = -1,
+        unique_stores: tuple[int, ...] = (), path_hist: int = -1,
+    ) -> None:
+        self.seq = seq
+        self.pc = pc
+        self.op = op
+        self.srcs = srcs
+        self.dst = dst
+        self.lat = lat
+        self.addr = addr
+        self.size = size
+        self.signed = signed
+        self.fp_convert = fp_convert
+        self.taken = taken
+        self.target = target
+        self.is_call = is_call
+        self.is_return = is_return
+        self.store_seq = store_seq
+        self.src_stores = src_stores
+        self.containing_store = containing_store
+        self.dist_insns = dist_insns
+        self.unique_stores = unique_stores
+        self.path_hist = path_hist
+        self.is_load, self.is_store, self.is_branch, self.port = _OP_KIND[op]
 
     @property
     def communicates(self) -> bool:
@@ -200,31 +238,34 @@ def communication_stats(
     stores accesses fewer than eight bytes.  ``store_sizes`` maps store seq
     to access size; if omitted it is reconstructed from the trace.
     """
-    trace = list(trace)
-    if store_sizes is None:
-        store_sizes = {
-            inst.store_seq: inst.size for inst in trace if inst.is_store
-        }
-    stats = TraceStats(window=window)
+    record_sizes = store_sizes is None
+    sizes = {} if record_sizes else store_sizes
+    loads = stores = branches = 0
+    communicating = partial_word = multi_source = 0
+    # One pass: a load's source stores precede it, so their sizes are
+    # known by the time it is reached.
     for inst in trace:
         if inst.is_store:
-            stats.stores += 1
+            stores += 1
+            if record_sizes:
+                sizes[inst.store_seq] = inst.size
         elif inst.is_branch:
-            stats.branches += 1
+            branches += 1
         elif inst.is_load:
-            stats.loads += 1
-            if not inst.communicates:
-                continue
+            loads += 1
             if inst.dist_insns < 0 or inst.dist_insns > window:
                 continue
-            stats.communicating_loads += 1
-            if inst.is_multi_source:
-                stats.multi_source_loads += 1
-            partial = inst.size < 8 or any(
-                store_sizes.get(s, 8) < 8
-                for s in inst.src_stores
-                if s != MEMORY_SOURCE
-            )
-            if partial:
-                stats.partial_word_loads += 1
-    return stats
+            sources = set(inst.src_stores)
+            multi = len(sources) > 1
+            sources.discard(MEMORY_SOURCE)
+            if not sources:
+                continue
+            communicating += 1
+            multi_source += multi
+            if inst.size < 8 or any(sizes.get(s, 8) < 8 for s in sources):
+                partial_word += 1
+    return TraceStats(
+        window=window, loads=loads, stores=stores, branches=branches,
+        communicating_loads=communicating, partial_word_loads=partial_word,
+        multi_source_loads=multi_source,
+    )

@@ -30,7 +30,6 @@ Modelling approach (see DESIGN.md for the full rationale):
 
 from __future__ import annotations
 
-import gc
 from bisect import bisect_right
 from collections import deque
 from heapq import heapify, heappop, heappush
@@ -43,6 +42,7 @@ from repro.core.ssbf import TaggedSSBF
 from repro.core.svw import BypassVerdict, SVWFilter
 from repro.frontend.branch_predictor import BTB, HybridBranchPredictor, ReturnAddressStack
 from repro.frontend.path_history import fill_path_history
+from repro.gcpause import gc_paused
 from repro.isa.instructions import NUM_ARCH_REGS, REG_ZERO
 from repro.isa.opcodes import OpClass
 from repro.isa.trace import DynInst, MEMORY_SOURCE
@@ -284,13 +284,9 @@ class Processor:
         # The cycle loop allocates heavily (one InFlightInst + producer
         # tuples per dispatch) but creates almost no reference cycles, so
         # generational GC scans are nearly pure overhead (~6% of the loop).
-        # Suspend collection for the duration and restore the caller's
-        # setting afterwards; the rare true cycles (_BarrierRaiser back
-        # references) are collected after re-enabling.
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
+        # Suspend collection for the duration; the rare true cycles
+        # (_BarrierRaiser back references) are collected after re-enabling.
+        with gc_paused():
             cycle = 0
             while self._pos < n or rob or pending:
                 if pending and pending[0][0] <= cycle:
@@ -319,9 +315,6 @@ class Processor:
                         f"livelock: {cycle} cycles for {n} instructions "
                         f"(pos={self._pos}, rob={len(rob)})"
                     )
-        finally:
-            if gc_was_enabled:
-                gc.enable()
         self.stats.cycles = cycle - self._measure_start_cycle
         self.stats.instructions = n - self._warmup
         return self.stats

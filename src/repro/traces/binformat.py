@@ -58,10 +58,21 @@ and the derived annotations ``containing_store``/``unique_stores``/
 ``path_hist`` are recomputed on load, so a reloaded trace is
 bit-identical to the annotated original.
 
+The reader decodes a block a column at a time: the one-byte streams are
+used as they are, each varint stream is decoded in one pass (a plain
+copy when no byte has its continuation bit set) and rows are assembled
+with local cursors.  The path-history walk runs in the same loop, its
+state carried across blocks with the other codec state, so
+:func:`read_trace` yields simulation-ready instructions.
+
 A reader checks every frame's crc32, that each block's column streams
 are consumed exactly (a record count that disagrees with the payload is
 an error, not extra or missing instructions) and that the blocks add up
-to the header's instruction count.
+to the header's instruction count.  It also rejects, naming the
+instruction, a record the timing model could not run: a register at or
+above ``NUM_ARCH_REGS``, a load or store without an address, a
+``store_seq`` on a non-store or none on a store, and a source-store
+distance reaching before the first store.
 """
 
 from __future__ import annotations
@@ -69,9 +80,13 @@ from __future__ import annotations
 import os
 import struct
 import zlib
+from itertools import accumulate
 from pathlib import Path
 from typing import Iterable, Iterator
 
+from repro.frontend.path_history import MAX_HISTORY_BITS
+from repro.gcpause import gc_paused
+from repro.isa.instructions import NUM_ARCH_REGS
 from repro.isa.opcodes import OpClass
 from repro.isa.trace import MEMORY_SOURCE, DynInst
 
@@ -145,21 +160,17 @@ def _read_uvarint(payload: bytes, offset: int) -> tuple[int, int]:
         shift += 7
 
 
-def _read_svarint(payload: bytes, offset: int) -> tuple[int, int]:
-    raw, offset = _read_uvarint(payload, offset)
-    return (raw >> 1) if not raw & 1 else -((raw + 1) >> 1), offset
-
-
 class _Codec:
     """Delta state shared by consecutive records (carried across blocks)."""
 
-    __slots__ = ("addr", "stores", "page_ids", "pages")
+    __slots__ = ("addr", "stores", "page_ids", "pages", "hist")
 
     def __init__(self) -> None:
         self.addr = 0
         self.stores = 0        # stores encoded/decoded so far
         self.page_ids: dict[int, int] = {}   # encode: pc page -> id
-        self.pages: list[int] = []           # decode: id -> pc page
+        self.pages: list[int] = []           # decode: id -> pc page base
+        self.hist = 0          # decode: path history after the last record
 
 
 class _Columns:
@@ -264,139 +275,237 @@ def _encode_record(inst: DynInst, cols: _Columns, state: _Codec) -> None:
         state.stores += 1
 
 
+def _uvarints(stream: bytes) -> list[int]:
+    """Decode a whole column of LEB128 uvarints in one pass."""
+    if stream.isascii():
+        return list(stream)            # every value fits in one byte
+    values: list[int] = []
+    append = values.append
+    value = shift = 0
+    for byte in stream:
+        if byte & 0x80:
+            value |= (byte & 0x7F) << shift
+            shift += 7
+        else:
+            append(value | (byte << shift))
+            value = shift = 0
+    if shift:
+        raise ValueError("unterminated varint")
+    return values
+
+
+def _svarints(stream: bytes) -> list[int]:
+    """Decode a whole column of zigzag-encoded signed varints."""
+    return [(raw >> 1) ^ -(raw & 1) for raw in _uvarints(stream)]
+
+
+#: (signed, fp_convert, taken, is_call, is_return) for each value of the
+#: five low flag bits.
+_FLAG_BOOLS = tuple(
+    tuple(bool(bits >> bit & 1) for bit in range(5)) for bits in range(32)
+)
+_OPS = tuple(OpClass)
+_LOAD = int(OpClass.LOAD)
+_STORE = int(OpClass.STORE)
+_BRANCH = int(OpClass.BRANCH)
+_HIST_MASK = (1 << MAX_HISTORY_BITS) - 1
+
+
 def _decode_block(
     payload: bytes, count: int, base_seq: int, state: _Codec, path: Path
 ) -> list[DynInst]:
+    """Decode one block, a column at a time, into simulation-ready
+    instructions: derived annotations and ``path_hist`` included."""
+
+    def bad(seq: int, problem: str) -> TraceFormatError:
+        return TraceFormatError(f"{path}: instruction {seq}: {problem}")
+
+    def short(name: str) -> TraceFormatError:
+        return TraceFormatError(
+            f"{path}: block at instruction {base_seq} declares {count} "
+            f"records, but its {name} column does not end with them"
+        )
+
     insts: list[DynInst] = []
+    append = insts.append
+    seq = base_seq
     try:
         # Split the column streams: a length table, then the streams
-        # back to back.  Per-column cursors walk them in record order.
+        # back to back.
         lengths = []
         offset = 0
         for _ in _COLUMNS:
             length, offset = _read_uvarint(payload, offset)
             lengths.append(length)
-        cursor = {}
-        ends = {}
+        cols = {}
         for name, length in zip(_COLUMNS, lengths):
-            cursor[name] = offset
+            cols[name] = payload[offset:offset + length]
             offset += length
-            ends[name] = offset
         if offset != len(payload):
             raise TraceFormatError(
                 f"{path}: block column table covers {offset} of "
                 f"{len(payload)} bytes"
             )
-        for index in range(count):
-            flags, cursor["flags"] = _read_uvarint(payload, cursor["flags"])
-            op = payload[cursor["op"]]
-            cursor["op"] += 1
-            lat = payload[cursor["lat"]]
-            cursor["lat"] += 1
-            size = payload[cursor["size"]]
-            cursor["size"] += 1
-            nsrcs = payload[cursor["nsrcs"]]
-            cursor["nsrcs"] += 1
-            nstores = payload[cursor["nstores"]]
-            cursor["nstores"] += 1
-            ref, cursor["pcpage"] = _read_uvarint(payload, cursor["pcpage"])
-            if ref == 0:
-                page, cursor["pcnew"] = _read_uvarint(
-                    payload, cursor["pcnew"]
-                )
-                state.pages.append(page)
-            else:
-                page = state.pages[ref - 1]
-            pc = (page << 8) | payload[cursor["pcoff"]]
-            cursor["pcoff"] += 1
-            dst = addr = target = None
-            store_seq = -1
-            dist_insns = -1
-            if flags & _F_HAS_DST:
-                dst = payload[cursor["dst"]]
-                cursor["dst"] += 1
-            if flags & _F_HAS_ADDR:
-                delta, cursor["addr"] = _read_svarint(
-                    payload, cursor["addr"]
-                )
-                addr = state.addr + delta
-                state.addr = addr
-            if flags & _F_HAS_TARGET:
-                delta, cursor["target"] = _read_svarint(
-                    payload, cursor["target"]
-                )
-                target = pc + delta
-            if flags & _F_HAS_DIST:
-                dist_insns, cursor["dist"] = _read_uvarint(
-                    payload, cursor["dist"]
-                )
-            srcs = tuple(payload[cursor["srcs"]:cursor["srcs"] + nsrcs])
-            cursor["srcs"] += nsrcs
-            src_stores: tuple[int, ...] = ()
-            if nstores:
-                if flags & _F_UNIFORM_SOURCES:
-                    raw, cursor["sources"] = _read_uvarint(
-                        payload, cursor["sources"]
-                    )
-                    value = MEMORY_SOURCE if raw == 0 else state.stores - raw
-                    src_stores = (value,) * nstores
+        # The frame's record count is outside the crc: every per-record
+        # column must hold exactly that many values, and every optional
+        # column must be used up by the records that declare it.
+        flags = _uvarints(cols["flags"])
+        refs = _uvarints(cols["pcpage"])
+        ops, lats, sizes = cols["op"], cols["lat"], cols["size"]
+        nsrcs_col, nstores_col, offs = (
+            cols["nsrcs"], cols["nstores"], cols["pcoff"]
+        )
+        for name, column in (
+            ("flags", flags), ("op", ops), ("lat", lats), ("size", sizes),
+            ("nsrcs", nsrcs_col), ("nstores", nstores_col),
+            ("pcpage", refs), ("pcoff", offs),
+        ):
+            if len(column) != count:
+                raise short(name)
+        # PCs: reference 0 brings in the next new page, in stream order.
+        pages = state.pages
+        new_pages = _uvarints(cols["pcnew"])
+        fresh = 0
+        if 0 in refs:
+            pcs = []
+            for ref, off in zip(refs, offs):
+                if ref:
+                    base = pages[ref - 1]
                 else:
-                    values = []
-                    for _ in range(nstores):
-                        raw, cursor["sources"] = _read_uvarint(
-                            payload, cursor["sources"]
-                        )
-                        values.append(
-                            MEMORY_SOURCE if raw == 0 else state.stores - raw
-                        )
-                    src_stores = tuple(values)
-            if flags & _F_HAS_STORE_SEQ:
-                store_seq = state.stores
-                state.stores += 1
-            inst = DynInst(
-                seq=base_seq + index,
-                pc=pc,
-                op=OpClass(op),
-                srcs=srcs,
-                dst=dst,
-                lat=lat,
-                addr=addr,
-                size=size,
-                signed=bool(flags & _F_SIGNED),
-                fp_convert=bool(flags & _F_FP_CONVERT),
-                taken=bool(flags & _F_TAKEN),
-                target=target,
-                is_call=bool(flags & _F_IS_CALL),
-                is_return=bool(flags & _F_IS_RETURN),
+                    base = new_pages[fresh] << 8
+                    fresh += 1
+                    pages.append(base)
+                pcs.append(base | off)
+        else:
+            pcs = [pages[ref - 1] | off for ref, off in zip(refs, offs)]
+        if fresh != len(new_pages):
+            raise short("pcnew")
+        dsts = cols["dst"]
+        addrs = list(accumulate(_svarints(cols["addr"]), initial=state.addr))
+        targets = _svarints(cols["target"])
+        dists = _uvarints(cols["dist"])
+        srcs = cols["srcs"]
+        sources = _uvarints(cols["sources"])
+        stores = state.stores
+        hist = state.hist
+        di = ti = xi = si = qi = 0
+        ai = 1
+        for seq, bits, code, lat, size, nsrcs, nstores, pc in zip(
+            range(base_seq, base_seq + count), flags, ops, lats, sizes,
+            nsrcs_col, nstores_col, pcs,
+        ):
+            signed, fp_convert, taken, is_call, is_return = (
+                _FLAG_BOOLS[bits & 0x1F]
             )
-            inst.store_seq = store_seq
-            inst.src_stores = src_stores
-            inst.dist_insns = dist_insns
-            # Derived annotations (not serialized): recompute exactly as
-            # annotate_trace does so reloaded traces are bit-identical.
-            unique = set(src_stores)
-            if len(unique) == 1 and MEMORY_SOURCE not in unique:
-                inst.containing_store = src_stores[0]
+            # Path history before this instruction decodes (the walk
+            # fill_path_history makes, carried across blocks).
+            path_hist = hist
+            if code == _BRANCH:
+                if is_call:
+                    hist = ((hist << 2) | ((pc >> 2) & 0x3)) & _HIST_MASK
+                elif not is_return:
+                    hist = ((hist << 1) | taken) & _HIST_MASK
+            if bits & _F_HAS_DST:
+                dst = dsts[di]
+                di += 1
             else:
-                inst.containing_store = MEMORY_SOURCE
-            inst.unique_stores = tuple(
-                s for s in unique if s != MEMORY_SOURCE
-            )
-            insts.append(inst)
-    except (struct.error, IndexError, ValueError) as exc:
+                dst = None
+            if bits & _F_HAS_ADDR:
+                addr = addrs[ai]
+                ai += 1
+            elif code == _LOAD or code == _STORE:
+                raise bad(seq, "load or store without an address")
+            else:
+                addr = None
+            if bits & _F_HAS_TARGET:
+                target = pc + targets[ti]
+                ti += 1
+            else:
+                target = None
+            if bits & _F_HAS_DIST:
+                dist_insns = dists[xi]
+                xi += 1
+            else:
+                dist_insns = -1
+            if nsrcs:
+                src = tuple(srcs[si:si + nsrcs])
+                si += nsrcs
+            else:
+                src = ()
+            if nstores:
+                # Derived annotations, exactly as annotate_trace makes
+                # them (unique_stores in set(src_stores) order).
+                if bits & _F_UNIFORM_SOURCES or nstores == 1:
+                    raws = sources[qi:qi + 1]
+                    qi += 1
+                else:
+                    raws = sources[qi:qi + nstores]
+                    qi += nstores
+                if qi > len(sources):
+                    raise short("sources")
+                if max(raws) > stores:
+                    raise bad(seq, f"source store distance {max(raws)} "
+                              f"but only {stores} stores precede it")
+                if len(raws) == 1:
+                    containing = stores - raws[0] if raws[0] else MEMORY_SOURCE
+                    src_stores = (containing,) * nstores
+                    unique_stores = (
+                        () if containing == MEMORY_SOURCE else (containing,)
+                    )
+                else:
+                    src_stores = tuple([
+                        stores - raw if raw else MEMORY_SOURCE for raw in raws
+                    ])
+                    unique = set(src_stores)
+                    if len(unique) == 1 and MEMORY_SOURCE not in unique:
+                        containing = src_stores[0]
+                    else:
+                        containing = MEMORY_SOURCE
+                    unique_stores = tuple(
+                        s for s in unique if s != MEMORY_SOURCE
+                    )
+            else:
+                src_stores = unique_stores = ()
+                containing = MEMORY_SOURCE
+            if bits & _F_HAS_STORE_SEQ:
+                if code != _STORE:
+                    raise bad(seq, "store_seq on a non-store")
+                store_seq = stores
+                stores += 1
+            elif code == _STORE:
+                raise bad(seq, "store without a store_seq")
+            else:
+                store_seq = -1
+            append(DynInst(
+                seq, pc, _OPS[code], src, dst, lat, addr, size, signed,
+                fp_convert, taken, target, is_call, is_return, store_seq,
+                src_stores, containing, dist_insns, unique_stores, path_hist,
+            ))
+    except TraceFormatError:
+        raise
+    except (IndexError, ValueError) as exc:
         raise TraceFormatError(
-            f"{path}: corrupt record in block at instruction "
-            f"{base_seq + len(insts)}: {exc}"
+            f"{path}: corrupt record in block at instruction {seq}: {exc}"
         ) from exc
-    # The frame's record count is outside the crc; the column streams
-    # must end exactly where the records do, or the count is wrong.
-    for name in _COLUMNS:
-        if cursor[name] != ends[name]:
-            raise TraceFormatError(
-                f"{path}: block at instruction {base_seq} declares "
-                f"{count} records, but its {name} column does not end "
-                "with them"
+    for name, used, column in (
+        ("dst", di, dsts), ("addr", ai, addrs), ("target", ti, targets),
+        ("dist", xi, dists), ("srcs", si, srcs), ("sources", qi, sources),
+    ):
+        if used != len(column):
+            raise short(name)
+    if (dsts and max(dsts) >= NUM_ARCH_REGS) or (
+        srcs and max(srcs) >= NUM_ARCH_REGS
+    ):
+        for inst in insts:
+            registers = inst.srcs if inst.dst is None else (
+                inst.dst, *inst.srcs
             )
+            if max(registers, default=0) >= NUM_ARCH_REGS:
+                raise bad(inst.seq, f"register {max(registers)} is outside "
+                          f"the {NUM_ARCH_REGS} architectural registers")
+    state.addr = addrs[-1]
+    state.stores = stores
+    state.hist = hist
     return insts
 
 
@@ -523,11 +632,8 @@ def _read_header(stream, path: Path) -> tuple[int, int]:
 
 
 def read_trace(path: str | Path) -> Iterator[DynInst]:
-    """Stream instructions from a v2 file, one block resident at a time.
-
-    The derived per-instruction annotations are restored, but the
-    whole-trace ``path_hist`` pass is **not** applied (it needs the full
-    stream); use :func:`load_trace` for a simulation-ready list.
+    """Stream simulation-ready instructions from a v2 file, one block
+    resident at a time (derived annotations and ``path_hist`` included).
     """
     path = Path(path)
     with open(path, "rb") as stream:
@@ -568,11 +674,11 @@ def read_trace(path: str | Path) -> Iterator[DynInst]:
 
 def load_trace(path: str | Path) -> list[DynInst]:
     """Read a v2 file into a simulation-ready annotated trace."""
-    from repro.frontend.path_history import fill_path_history
-
-    trace = list(read_trace(path))
-    fill_path_history(trace)
-    return trace
+    # Decoding allocates several objects per instruction and makes no
+    # reference cycles, so collector passes over the growing list are
+    # pure overhead.
+    with gc_paused():
+        return list(read_trace(path))
 
 
 def trace_info(path: str | Path) -> dict:

@@ -56,6 +56,9 @@ from repro.isa.opcodes import OpClass
 from repro.isa.trace import DynInst, annotate_trace
 from repro.traces.binformat import TraceFormatError
 
+#: Leading bytes of a gzip stream.
+_GZIP_MAGIC = b"\x1f\x8b"
+
 #: Base register conventions (match the synthetic generator's).
 _BASE_REG = 5
 _CONST_REG = 6
@@ -188,9 +191,12 @@ def import_synchrotrace(path: str | Path) -> list[DynInst]:
     the file cannot be read as (possibly gzip-compressed) UTF-8 text.
     """
     path = Path(path)
-    opener = gzip.open if path.suffix == ".gz" else open
     builder = _Builder()
     try:
+        # The gzip magic, not the file name, decides decompression.
+        with open(path, "rb") as probe:
+            packed = probe.read(len(_GZIP_MAGIC)) == _GZIP_MAGIC
+        opener = gzip.open if packed else open
         stream = opener(path, "rt", encoding="utf-8")
     except OSError as exc:
         raise TraceFormatError(f"{path}: cannot open: {exc}") from exc

@@ -1,12 +1,37 @@
 """Tests for the trace format and ground-truth annotation."""
 
+import dataclasses
+
 from hypothesis import given, settings, strategies as st
 
+from repro.isa.opcodes import OpClass
 from repro.isa.trace import (
     MEMORY_SOURCE,
+    DynInst,
     communication_stats,
 )
 from tests.conftest import build_trace
+
+#: Random store/load mixes over a few overlapping 8-byte slots.
+MEMORY_OPS = st.lists(
+    st.tuples(
+        st.booleans(),                      # store or load
+        st.integers(min_value=0, max_value=40),  # slot
+        st.sampled_from([1, 2, 4, 8]),
+    ),
+    min_size=1, max_size=60,
+)
+
+
+def memory_trace(ops):
+    specs = []
+    for is_store, slot, size in ops:
+        addr = 0x1000 + 8 * slot
+        if is_store:
+            specs.append(("st", addr, size, 8))
+        else:
+            specs.append(("ld", addr, size))
+    return build_trace(specs)
 
 
 class TestAnnotation:
@@ -87,27 +112,11 @@ class TestAnnotation:
         assert trace[0].store_seq == 0
         assert trace[2].store_seq == 1
 
-    @given(
-        st.lists(
-            st.tuples(
-                st.booleans(),                      # store or load
-                st.integers(min_value=0, max_value=40),  # slot
-                st.sampled_from([1, 2, 4, 8]),
-            ),
-            min_size=1, max_size=60,
-        )
-    )
+    @given(MEMORY_OPS)
     @settings(max_examples=60)
     def test_against_naive_byte_reference(self, ops):
         """annotate_trace must agree with a direct per-byte replay."""
-        specs = []
-        for is_store, slot, size in ops:
-            addr = 0x1000 + 8 * slot
-            if is_store:
-                specs.append(("st", addr, size, 8))
-            else:
-                specs.append(("ld", addr, size))
-        trace = build_trace(specs)
+        trace = memory_trace(ops)
 
         last_writer: dict[int, int] = {}
         store_count = 0
@@ -161,6 +170,31 @@ class TestCommunicationStats:
         assert stats.partial_word_loads == 1
 
 
+    @given(MEMORY_OPS, st.integers(min_value=0, max_value=80))
+    @settings(max_examples=60)
+    def test_matches_per_load_definition(self, ops, window):
+        """The one-pass walk counts what the per-load properties say."""
+        trace = memory_trace(ops)
+        sizes = {i.store_seq: i.size for i in trace if i.is_store}
+        window_loads = [
+            i for i in trace
+            if i.communicates and 0 <= i.dist_insns <= window
+        ]
+        stats = communication_stats(iter(trace), window=window)
+        assert stats.loads == sum(i.is_load for i in trace)
+        assert stats.stores == len(sizes)
+        assert stats.communicating_loads == len(window_loads)
+        assert stats.multi_source_loads == sum(
+            i.is_multi_source for i in window_loads
+        )
+        assert stats.partial_word_loads == sum(
+            i.size < 8 or any(
+                sizes[s] < 8 for s in i.src_stores if s != MEMORY_SOURCE
+            )
+            for i in window_loads
+        )
+
+
 class TestDynInstProperties:
     def test_kind_properties(self):
         trace = build_trace([("alu", 8), ("st", 0x0, 8, 8), ("ld", 0x0, 8), ("br", True)])
@@ -168,3 +202,28 @@ class TestDynInstProperties:
         assert trace[1].is_store
         assert trace[2].is_load
         assert trace[3].is_branch
+
+    def test_kind_flags_follow_op(self):
+        for op in OpClass:
+            inst = DynInst(seq=0, pc=0, op=op)
+            assert inst.is_load == (op is OpClass.LOAD)
+            assert inst.is_store == (op is OpClass.STORE)
+            assert inst.is_branch == (op is OpClass.BRANCH)
+            assert inst.port == int(op)
+
+    def test_replace_recomputes_kind_flags(self):
+        load = build_trace([("ld", 0x40, 8)])[0]
+        store = dataclasses.replace(load, op=OpClass.STORE, seq=7)
+        assert store.is_store and not store.is_load and store.port == 4
+        assert store.seq == 7 and store.addr == load.addr
+        assert dataclasses.replace(load) == load
+
+    def test_field_order(self):
+        """perfbench fingerprints traces by this field order."""
+        assert [f.name for f in dataclasses.fields(DynInst)] == [
+            "seq", "pc", "op", "srcs", "dst", "lat", "addr", "size",
+            "signed", "fp_convert", "taken", "target", "is_call",
+            "is_return", "store_seq", "src_stores", "containing_store",
+            "dist_insns", "unique_stores", "path_hist", "is_load",
+            "is_store", "is_branch", "port",
+        ]

@@ -17,17 +17,24 @@ The contracts under test:
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import gzip
 import hashlib
 import json
 import shutil
+import tempfile
+import zlib
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cli import main
 from repro.experiments import CampaignSpec, Job, ResultCache, job_key, run_campaign
 from repro.harness.runner import ExperimentScale
+from repro.isa.instructions import NUM_ARCH_REGS
+from repro.isa.trace import MEMORY_SOURCE, DynInst
 from repro.pipeline import MachineConfig, Processor
 from repro.traces import (
     GeneratorSource,
@@ -47,6 +54,11 @@ from repro.workloads.zoo import FAMILIES, ZOO_BENCHMARKS, generate_zoo_trace
 from tests.conftest import build_trace
 
 DATA = Path(__file__).parent / "data"
+#: SHA-256 of write_trace for 8,000 gzip instructions (seed 17): the
+#: on-disk bytes of the v2 format are pinned.
+GZIP_8000_SHA256 = (
+    "91f504aa75becafe7326bacea3d54d5d9eade3d152576bb4dcb915427beaafd7"
+)
 SAMPLE = DATA / "sample_synchrotrace.txt"
 
 #: Every DynInst field that must survive serialization, derived
@@ -100,14 +112,9 @@ class TestBinaryRoundTrip:
         info = trace_info(path)
         assert info["instructions"] == len(trace)
         assert info["blocks"] == -(-len(trace) // 128)
-        # The streaming reader restores everything except path_hist
-        # (a whole-trace pass applied by load_trace).
-        streamed = list(read_trace(path))
-        for name in FIELDS:
-            if name == "path_hist":
-                continue
-            assert [getattr(i, name) for i in trace] == \
-                [getattr(i, name) for i in streamed], name
+        # The streaming reader restores every field, path_hist included
+        # (its walk is carried across blocks).
+        assert_traces_identical(trace, list(read_trace(path)))
 
     def test_empty_trace(self, tmp_path):
         path = tmp_path / "empty.bt"
@@ -232,6 +239,183 @@ class TestBinaryErrors:
         assert not path.exists()
 
 
+def _read_blocks(data: bytes) -> list[tuple[int, bytes]]:
+    """(record count, decompressed payload) of every block of a v2 file."""
+    index_offset, entries, _ = binformat._TRAILER.unpack(
+        data[-binformat._TRAILER.size:]
+    )
+    blocks = []
+    for entry in range(entries):
+        offset, records, comp_len = binformat._INDEX_ENTRY.unpack_from(
+            data, index_offset + entry * binformat._INDEX_ENTRY.size
+        )
+        start = offset + binformat._FRAME.size
+        blocks.append((records, zlib.decompress(data[start:start + comp_len])))
+    return blocks
+
+
+def _v2_file(blocks: list[tuple[int, bytes]], block_records: int) -> bytes:
+    """A v2 file framing *blocks* with valid crcs, index and trailer."""
+    count = sum(records for records, _ in blocks)
+    out = bytearray(binformat._HEADER.pack(
+        binformat.MAGIC, binformat.BINARY_VERSION, 0, count, block_records
+    ))
+    index = []
+    for records, raw in blocks:
+        packed = zlib.compress(raw, 9)
+        index.append((len(out), records, len(packed)))
+        out += binformat._FRAME.pack(len(packed), records, zlib.crc32(packed))
+        out += packed
+    index_offset = len(out)
+    for entry in index:
+        out += binformat._INDEX_ENTRY.pack(*entry)
+    out += binformat._TRAILER.pack(
+        index_offset, len(index), binformat.TRAILER_MAGIC
+    )
+    return bytes(out)
+
+
+@functools.lru_cache(maxsize=None)
+def _flip_sample() -> list[tuple[int, bytes]]:
+    """The blocks of a 300-instruction zoo.overlap trace (seed 3)."""
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "sample.bt"
+        write_trace(generate_zoo_trace("overlap", 300, seed=3), path,
+                    block_records=128)
+        data = path.read_bytes()
+    assert _v2_file(_read_blocks(data), 128) == data
+    return _read_blocks(data)
+
+
+def _assert_well_formed(trace, count):
+    """The invariants the timing model relies on and the reader checks."""
+    assert len(trace) == count
+    stores = 0
+    for inst in trace:
+        registers = inst.srcs if inst.dst is None else (inst.dst, *inst.srcs)
+        assert all(0 <= reg < NUM_ARCH_REGS for reg in registers)
+        if inst.is_load or inst.is_store:
+            assert inst.addr is not None
+        assert (inst.store_seq >= 0) == inst.is_store
+        assert all(MEMORY_SOURCE <= s < stores for s in inst.src_stores)
+        stores += inst.is_store
+
+
+def _bad_dst(trace):
+    trace[0].dst = NUM_ARCH_REGS
+
+
+def _bad_src(trace):
+    trace[4].srcs = (8, 200)
+
+
+def _load_without_addr(trace):
+    trace[2].addr = None
+
+
+def _store_without_addr(trace):
+    trace[1].addr = None
+
+
+def _store_seq_on_alu(trace):
+    trace[4].store_seq = 2
+
+
+def _store_without_store_seq(trace):
+    trace[3].store_seq = -1
+
+
+def _uniform_distance_too_far(trace):
+    trace[2].src_stores = (-5,) * 8
+
+
+def _byte_distance_too_far(trace):
+    trace[2].src_stores = (0,) * 7 + (-5,)
+
+
+class TestDecoderChecks:
+    """A record that decodes but breaks an invariant the timing model
+    relies on is a TraceFormatError at load, not a crash mid-simulation."""
+
+    @pytest.mark.parametrize("corrupt,message", [
+        (_bad_dst, "instruction 0: register 64"),
+        (_bad_src, "instruction 4: register 200"),
+        (_load_without_addr, "instruction 2: load or store without"),
+        (_store_without_addr, "instruction 1: load or store without"),
+        (_store_seq_on_alu, "instruction 4: store_seq on a non-store"),
+        (_store_without_store_seq, "instruction 3: store without a"),
+        (_uniform_distance_too_far, "instruction 2: source store distance 6"),
+        (_byte_distance_too_far, "instruction 2: source store distance 6"),
+    ], ids=["dst", "src", "load-addr", "store-addr", "store-seq-extra",
+            "store-seq-missing", "distance-uniform", "distance-per-byte"])
+    def test_invalid_record_rejected(self, tmp_path, corrupt, message):
+        trace = build_trace([
+            ("alu", 8), ("st", 0x40, 8, 8), ("ld", 0x40, 8),
+            ("st", 0x80, 8, 8), ("alu", 9, 8),
+        ])
+        corrupt(trace)
+        path = tmp_path / "bad.bt"
+        write_trace(trace, path)
+        with pytest.raises(TraceFormatError) as excinfo:
+            load_trace(path)
+        assert str(excinfo.value).startswith(f"{path}: {message}")
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_one_bit_flip_rejected_or_well_formed(self, data):
+        blocks = _flip_sample()
+        which = data.draw(st.integers(0, len(blocks) - 1), label="block")
+        records, raw = blocks[which]
+        bit = data.draw(st.integers(0, 8 * len(raw) - 1), label="bit")
+        flipped = bytearray(raw)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        mutated = list(blocks)
+        mutated[which] = (records, bytes(flipped))
+        with tempfile.TemporaryDirectory() as scratch:
+            path = Path(scratch) / "flipped.bt"
+            path.write_bytes(_v2_file(mutated, 128))
+            try:
+                trace = load_trace(path)
+            except TraceFormatError:
+                return
+        _assert_well_formed(trace, sum(records for records, _ in blocks))
+
+
+class TestByteIdentity:
+    """The file bytes and the loaded instructions are pinned."""
+
+    def test_write_trace_digest_pinned(self, tmp_path):
+        path = tmp_path / "gzip.bt"
+        write_trace(generate_trace("gzip", num_instructions=8_000, seed=17),
+                    path)
+        data = path.read_bytes()
+        assert len(data) == 23_111
+        assert hashlib.sha256(data).hexdigest() == GZIP_8000_SHA256
+
+    @pytest.mark.parametrize("bench_id", ["gzip", "zoo.overlap", "zoo.fsm"])
+    def test_load_equals_generated_on_every_field(self, tmp_path, bench_id):
+        trace = resolve_source(bench_id).trace(
+            ExperimentScale("pin", 3_000, 0), 17
+        )
+        path = tmp_path / "t.bt"
+        write_trace(trace, path, block_records=512)
+        names = [f.name for f in dataclasses.fields(DynInst)]
+
+        def rows(insts):
+            return [tuple(getattr(i, name) for name in names) for i in insts]
+
+        assert rows(load_trace(path)) == rows(trace)
+
+    @pytest.mark.parametrize("fixture", sorted(DATA.glob("*.bt")),
+                             ids=lambda p: p.stem)
+    def test_committed_fixture_reencodes_byte_for_byte(self, tmp_path,
+                                                       fixture):
+        copy = tmp_path / fixture.name
+        write_trace(load_trace(fixture), copy,
+                    block_records=trace_info(fixture)["block_records"])
+        assert copy.read_bytes() == fixture.read_bytes()
+
+
 class TestV1Errors:
     """Input that is not a v2 trace file at all."""
 
@@ -289,6 +473,15 @@ class TestImporter:
             import_synchrotrace(SAMPLE), import_synchrotrace(path)
         )
 
+    def test_gzip_detected_by_magic_not_suffix(self, tmp_path):
+        packed = tmp_path / "events.gzdata"
+        packed.write_bytes(gzip.compress(SAMPLE.read_bytes()))
+        plain = tmp_path / "events.gz"
+        plain.write_bytes(SAMPLE.read_bytes())
+        expected = import_synchrotrace(SAMPLE)
+        assert_traces_identical(expected, import_synchrotrace(packed))
+        assert_traces_identical(expected, import_synchrotrace(plain))
+
     @pytest.mark.parametrize("line,message", [
         ("1,0", "expected '<eid>,<tid>,<event>"),
         ("1,0,frobnicate,3", "unknown event kind"),
@@ -307,7 +500,7 @@ class TestImporter:
     @pytest.mark.parametrize("name,content", [
         ("latin1.txt", "1,0,comp,2,0\n# caf\xe9\n".encode("latin-1")),
         ("cut.txt.gz", gzip.compress(SAMPLE.read_bytes())[:200]),
-        ("plain.txt.gz", SAMPLE.read_bytes()),
+        ("plain.txt", b"\x1f\x8b" + SAMPLE.read_bytes()),
     ], ids=["not-utf8", "truncated-gzip", "not-gzip"])
     def test_unreadable_file_names_the_path(self, tmp_path, name, content):
         path = tmp_path / name
@@ -480,7 +673,10 @@ class TestTraceCLI:
         assert main([
             "trace", "record", "nope", "-o", str(tmp_path / "x.bt"),
         ]) == 2
-        assert "unknown benchmark" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        # The message itself on one line, not the KeyError's repr.
+        assert err.startswith("unknown benchmark 'nope'")
+        assert len(err.strip().splitlines()) == 1
 
     def test_convert_imports_external(self, tmp_path):
         out = tmp_path / "sample.bt"
@@ -586,11 +782,13 @@ def test_binformat_varint_roundtrip():
     for value in values:
         got, offset = binformat._read_uvarint(bytes(out), offset)
         assert got == value
+    # The column decoders: the one-byte fast path and the general loop.
+    assert binformat._uvarints(bytes(out)) == values
+    assert binformat._uvarints(bytes(range(128))) == list(range(128))
+    with pytest.raises(ValueError, match="unterminated"):
+        binformat._uvarints(bytes(out) + b"\x80")
     out = bytearray()
     signed = [0, -1, 1, -64, 64, -(2 ** 33), 2 ** 33]
     for value in signed:
         binformat._write_svarint(out, value)
-    offset = 0
-    for value in signed:
-        got, offset = binformat._read_svarint(bytes(out), offset)
-        assert got == value
+    assert binformat._svarints(bytes(out)) == signed
